@@ -181,7 +181,7 @@ impl TcpSimulator {
     /// `mean_steady` (Ookla-style); `mean_all` always covers the full
     /// duration (NDT-style).
     pub fn run<R: Rng + ?Sized>(&self, ramp_discard_s: f64, rng: &mut R) -> ThroughputSample {
-        self.run_inner(ramp_discard_s, rng, None).0
+        self.run_inner(ramp_discard_s, rng, None)
     }
 
     /// Like [`TcpSimulator::run`], additionally returning the per-round
@@ -192,7 +192,7 @@ impl TcpSimulator {
         rng: &mut R,
     ) -> (ThroughputSample, Vec<TracePoint>) {
         let mut trace = Vec::new();
-        let sample = self.run_inner(ramp_discard_s, rng, Some(&mut trace)).0;
+        let sample = self.run_inner(ramp_discard_s, rng, Some(&mut trace));
         (sample, trace)
     }
 
@@ -200,124 +200,353 @@ impl TcpSimulator {
         &self,
         ramp_discard_s: f64,
         rng: &mut R,
-        mut trace: Option<&mut Vec<TracePoint>>,
-    ) -> (ThroughputSample, ()) {
+        trace: Option<&mut Vec<TracePoint>>,
+    ) -> ThroughputSample {
         let cfg = &self.cfg;
-        let mss = cfg.mss_bytes as f64;
-        let rounds = (cfg.duration_s / cfg.rtt_s).ceil() as usize;
-        let ramp_discard_s = ramp_discard_s.clamp(0.0, cfg.duration_s * 0.8);
-        let discard_rounds = (ramp_discard_s / cfg.rtt_s).floor() as usize;
+        match cfg.congestion_control {
+            CongestionControl::Reno => flow_rounds::<R, false>(cfg, ramp_discard_s, rng, trace),
+            CongestionControl::Cubic => flow_rounds::<R, true>(cfg, ramp_discard_s, rng, trace),
+        }
+    }
+}
 
-        // Bottleneck capacity per round, in packets.
-        let cap_pkts_round = cfg.bottleneck.packets_per_sec(cfg.mss_bytes) * cfg.rtt_s;
-        // Per-flow receive-window cap, packets.
-        let rwnd_pkts = (cfg.rwnd_total_bytes / cfg.n_flows as f64 / mss).max(1.0);
+/// Relative margin on the random-loss exponent `x = sent·(−ln(1−p))`.
+/// The filter forms `x` as `cwnd · (delivered/demand) · (−ln(1−p))`, the
+/// exact path as `sent = cwnd·delivered/demand` fed to `powf`; the two
+/// differ by a handful of roundings and one `ln`, each within about one
+/// ulp (~1e-16 relative), so 1e-12 covers them with room to spare.
+const X_REL_MARGIN: f64 = 1e-12;
 
-        let mut flows: Vec<FlowState> = (0..cfg.n_flows)
-            .map(|_| FlowState {
-                cwnd: cfg.initial_cwnd_pkts.min(rwnd_pkts),
-                ssthresh: rwnd_pkts,
-                slow_start: true,
-                w_max: rwnd_pkts,
-                t_since_loss: 0.0,
-            })
-            .collect();
+/// Absolute margin on `p_loss`. The exact path's `powf` (a few ulps of a
+/// value ≤ 1), its rounded `−`, `+`, `×`, `−` steps and the filter's own
+/// rounded bound arithmetic each move `p_loss` by at most ~1e-16; 1e-12
+/// allows thousands of ulps.
+const P_ABS_MARGIN: f64 = 1e-12;
 
-        let mut total_pkts = 0.0f64;
-        let mut steady_pkts = 0.0f64;
-        let mut loss_events = 0u64;
-        let mut queue_delay_acc = 0.0f64;
+/// Largest per-round capacity and per-flow window, in packets, for which
+/// the filter's error analysis is carried out: below it `cwnd · delivered`
+/// cannot overflow, so `sent` is finite and the margins above hold.
+const FILTER_MAX_PKTS: f64 = 1e100;
 
-        for round in 0..rounds {
-            let demand: f64 = flows.iter().map(|f| f.cwnd).sum();
-            let delivered = demand.min(cap_pkts_round);
-            total_pkts += delivered;
-            if round >= discard_rounds {
-                steady_pkts += delivered;
-            }
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.push(TracePoint {
-                    t_s: round as f64 * cfg.rtt_s,
-                    cwnd_pkts: demand,
-                    rate: Mbps::from_bytes_per_sec(delivered * mss / cfg.rtt_s),
-                });
-            }
+/// Per-round bounds on each flow's loss probability.
+///
+/// `p_loss = 1 − (1−p_rand)(1−p_cong)` rises monotonically with
+/// `p_rand = 1 − e^{−x}`, and `x − x²/2 ≤ 1 − e^{−x} ≤ x` for `x ≥ 0`.
+/// Widened by [`X_REL_MARGIN`] on `x` and [`P_ABS_MARGIN`] on the result,
+/// the bounds bracket the float the seed expression ([`exact_p_loss`])
+/// computes, so a draw outside them decides the same way that float does.
+#[derive(Debug, Clone, Copy)]
+struct LossFilter {
+    /// Lower bound on `x` per packet of window.
+    x_lo: f64,
+    /// Upper bound on `x` per packet of window.
+    x_hi: f64,
+    p_cong: f64,
+    /// `1 − p_cong`, so that `p_loss = p_cong + p_rand · keep`.
+    keep: f64,
+}
 
-            // Standing queue this round: packets beyond the pipe, capped by
-            // the buffer. Draining them takes queue/cap_rate seconds — the
-            // queueing delay every packet in the round experiences.
-            let queue_pkts = (demand - cap_pkts_round).clamp(0.0, cap_pkts_round * cfg.buffer_bdp);
-            queue_delay_acc += queue_pkts / cap_pkts_round * cfg.rtt_s;
+impl LossFilter {
+    /// `x_per_pkt` is `(delivered/demand)·(−ln(1−p))` for the round.
+    fn new(x_per_pkt: f64, p_cong: f64) -> Self {
+        LossFilter {
+            x_lo: x_per_pkt * (1.0 - X_REL_MARGIN),
+            x_hi: x_per_pkt * (1.0 + X_REL_MARGIN),
+            p_cong,
+            keep: 1.0 - p_cong,
+        }
+    }
 
-            // Congestion loss pressure: load beyond what capacity plus the
-            // bottleneck buffer can absorb this round.
-            let buffered_cap = cap_pkts_round * (1.0 + cfg.buffer_bdp);
-            let overshoot =
-                if demand > buffered_cap { (demand - buffered_cap) / demand } else { 0.0 };
+    /// The loss decision `u < p_loss` for a flow of `cwnd` packets, or
+    /// `None` when `u` falls between the bounds and only the exact
+    /// expression can decide.
+    #[inline(always)]
+    fn decide(&self, cwnd: f64, u: f64) -> Option<bool> {
+        let hi = self.p_cong + (cwnd * self.x_hi).min(1.0) * self.keep + P_ABS_MARGIN;
+        if u >= hi {
+            return Some(false);
+        }
+        let x = cwnd * self.x_lo;
+        let lo = self.p_cong + (x - 0.5 * x * x).max(0.0) * self.keep - P_ABS_MARGIN;
+        if u < lo {
+            return Some(true);
+        }
+        None
+    }
+}
 
-            for f in flows.iter_mut() {
-                // Probability at least one of this flow's packets was lost:
-                // random loss over its delivered share, plus congestion loss
-                // proportional to the round's overshoot.
-                let sent = f.cwnd * delivered / demand.max(1e-12);
-                let p_rand = 1.0 - (1.0 - cfg.loss_rate).powf(sent.max(0.0));
-                let p_cong = (overshoot * 1.5).min(1.0);
-                let p_loss = (p_rand + p_cong - p_rand * p_cong).clamp(0.0, 1.0);
+/// The seed's per-flow loss probability, expression for expression:
+/// random loss over the flow's delivered share (`q = 1 − p`), plus
+/// congestion loss, clamped. The kernel falls back to it when
+/// [`LossFilter::decide`] cannot decide.
+#[cold]
+fn exact_p_loss(sent: f64, q: f64, p_cong: f64) -> f64 {
+    let p_rand = 1.0 - q.powf(sent.max(0.0));
+    (p_rand + p_cong - p_rand * p_cong).clamp(0.0, 1.0)
+}
 
-                if rng.gen::<f64>() < p_loss {
-                    loss_events += 1;
-                    match cfg.congestion_control {
-                        CongestionControl::Reno => {
-                            f.ssthresh = (f.cwnd / 2.0).max(2.0);
-                            f.cwnd = f.ssthresh;
-                        }
-                        CongestionControl::Cubic => {
-                            f.w_max = f.cwnd;
-                            f.t_since_loss = 0.0;
-                            f.cwnd = (f.cwnd * CUBIC_BETA).max(2.0);
-                            f.ssthresh = f.cwnd;
-                        }
-                    }
-                    f.slow_start = false;
-                } else if f.slow_start {
-                    f.cwnd = (f.cwnd * 2.0).min(rwnd_pkts);
-                    if f.cwnd >= f.ssthresh {
-                        f.slow_start = false;
-                    }
-                } else {
-                    f.t_since_loss += cfg.rtt_s;
-                    f.cwnd = match cfg.congestion_control {
-                        CongestionControl::Reno => (f.cwnd + 1.0).min(rwnd_pkts),
-                        CongestionControl::Cubic => cubic_window(f.w_max, f.t_since_loss)
-                            .max(cubic_tcp_friendly(f.w_max, f.t_since_loss, cfg.rtt_s))
-                            .max(f.cwnd) // never shrink without loss
-                            .min(rwnd_pkts),
-                    };
-                }
-            }
+/// Whether [`LossFilter`]'s error analysis covers this transfer: loss in
+/// `[0, 1)`, a non-negative buffer, a positive initial window (so every
+/// window stays positive), and capacity and windows below
+/// [`FILTER_MAX_PKTS`]. Every realistic path qualifies; configurations
+/// outside, reachable only through the public fields, run
+/// [`reference_run`].
+fn filter_domain(cfg: &FlowConfig, cap_pkts_round: f64, rwnd_pkts: f64) -> bool {
+    (0.0..1.0).contains(&cfg.loss_rate)
+        && cfg.buffer_bdp >= 0.0
+        && cfg.initial_cwnd_pkts > 0.0
+        && (0.0..=FILTER_MAX_PKTS).contains(&cap_pkts_round)
+        && rwnd_pkts <= FILTER_MAX_PKTS
+}
+
+/// The flow-round kernel behind [`TcpSimulator::run`].
+///
+/// Makes the same decisions as [`reference_run`] from the same draws in
+/// the same order: one uniform per flow per round, tested against
+/// [`LossFilter`]'s bounds and, only inside them, against the unchanged
+/// [`exact_p_loss`]. `−ln(1−p)` is hoisted per transfer, `delivered/demand`
+/// and `p_cong` per round, and the congestion-control match per transfer
+/// (`CUBIC`). The next round's demand is summed in flow order during the
+/// update pass, from the same neutral element `Sum` folds from, so it is
+/// the same float the reference's `sum()` yields.
+fn flow_rounds<R: Rng + ?Sized, const CUBIC: bool>(
+    cfg: &FlowConfig,
+    ramp_discard_s: f64,
+    rng: &mut R,
+    mut trace: Option<&mut Vec<TracePoint>>,
+) -> ThroughputSample {
+    let mss = cfg.mss_bytes as f64;
+    let cap_pkts_round = cfg.bottleneck.packets_per_sec(cfg.mss_bytes) * cfg.rtt_s;
+    let rwnd_pkts = (cfg.rwnd_total_bytes / cfg.n_flows as f64 / mss).max(1.0);
+    if !filter_domain(cfg, cap_pkts_round, rwnd_pkts) {
+        return reference_run(cfg, ramp_discard_s, rng, trace);
+    }
+    let rounds = (cfg.duration_s / cfg.rtt_s).ceil() as usize;
+    let ramp_discard_s = ramp_discard_s.clamp(0.0, cfg.duration_s * 0.8);
+    let discard_rounds = (ramp_discard_s / cfg.rtt_s).floor() as usize;
+    let buffered_cap = cap_pkts_round * (1.0 + cfg.buffer_bdp);
+    let q = 1.0 - cfg.loss_rate;
+    let neg_ln_q = -q.ln();
+
+    let mut flows: Vec<FlowState> = (0..cfg.n_flows)
+        .map(|_| FlowState {
+            cwnd: cfg.initial_cwnd_pkts.min(rwnd_pkts),
+            ssthresh: rwnd_pkts,
+            slow_start: true,
+            w_max: rwnd_pkts,
+            t_since_loss: 0.0,
+        })
+        .collect();
+
+    let mut demand: f64 = flows.iter().map(|f| f.cwnd).sum();
+    let mut total_pkts = 0.0f64;
+    let mut steady_pkts = 0.0f64;
+    let mut loss_events = 0u64;
+    let mut queue_delay_acc = 0.0f64;
+
+    for round in 0..rounds {
+        let delivered = demand.min(cap_pkts_round);
+        total_pkts += delivered;
+        if round >= discard_rounds {
+            steady_pkts += delivered;
+        }
+        if let Some(tr) = trace.as_deref_mut() {
+            tr.push(TracePoint {
+                t_s: round as f64 * cfg.rtt_s,
+                cwnd_pkts: demand,
+                rate: Mbps::from_bytes_per_sec(delivered * mss / cfg.rtt_s),
+            });
         }
 
-        let total_time = rounds as f64 * cfg.rtt_s;
-        let steady_time = (rounds - discard_rounds) as f64 * cfg.rtt_s;
-        let to_mbps = |pkts: f64, secs: f64| {
-            if secs <= 0.0 {
-                Mbps::ZERO
-            } else {
-                Mbps::from_bytes_per_sec(pkts * mss / secs)
-            }
-        };
+        let queue_pkts = (demand - cap_pkts_round).clamp(0.0, cap_pkts_round * cfg.buffer_bdp);
+        queue_delay_acc += queue_pkts / cap_pkts_round * cfg.rtt_s;
 
-        (
-            ThroughputSample {
-                mean_all: to_mbps(total_pkts, total_time),
-                mean_steady: to_mbps(steady_pkts, steady_time),
-                ramp_discard_s,
-                loss_events,
-                rounds,
-                loaded_rtt_s: cfg.rtt_s + queue_delay_acc / rounds.max(1) as f64,
-            },
-            (),
-        )
+        let overshoot = if demand > buffered_cap { (demand - buffered_cap) / demand } else { 0.0 };
+        let p_cong = (overshoot * 1.5).min(1.0);
+        let demand_floor = demand.max(1e-12);
+        let filter = LossFilter::new(delivered / demand_floor * neg_ln_q, p_cong);
+
+        let mut next_demand = -0.0f64;
+        for f in flows.iter_mut() {
+            let u = rng.gen::<f64>();
+            let lost = match filter.decide(f.cwnd, u) {
+                Some(lost) => lost,
+                None => u < exact_p_loss(f.cwnd * delivered / demand_floor, q, p_cong),
+            };
+            if lost {
+                loss_events += 1;
+                if CUBIC {
+                    f.w_max = f.cwnd;
+                    f.t_since_loss = 0.0;
+                    f.cwnd = (f.cwnd * CUBIC_BETA).max(2.0);
+                    f.ssthresh = f.cwnd;
+                } else {
+                    f.ssthresh = (f.cwnd / 2.0).max(2.0);
+                    f.cwnd = f.ssthresh;
+                }
+                f.slow_start = false;
+            } else if f.slow_start {
+                f.cwnd = (f.cwnd * 2.0).min(rwnd_pkts);
+                if f.cwnd >= f.ssthresh {
+                    f.slow_start = false;
+                }
+            } else if CUBIC {
+                f.t_since_loss += cfg.rtt_s;
+                f.cwnd = cubic_window(f.w_max, f.t_since_loss)
+                    .max(cubic_tcp_friendly(f.w_max, f.t_since_loss, cfg.rtt_s))
+                    .max(f.cwnd)
+                    .min(rwnd_pkts);
+            } else {
+                f.cwnd = (f.cwnd + 1.0).min(rwnd_pkts);
+            }
+            next_demand += f.cwnd;
+        }
+        demand = next_demand;
+    }
+
+    let total_time = rounds as f64 * cfg.rtt_s;
+    let steady_time = (rounds - discard_rounds) as f64 * cfg.rtt_s;
+    let to_mbps = |pkts: f64, secs: f64| {
+        if secs <= 0.0 {
+            Mbps::ZERO
+        } else {
+            Mbps::from_bytes_per_sec(pkts * mss / secs)
+        }
+    };
+
+    ThroughputSample {
+        mean_all: to_mbps(total_pkts, total_time),
+        mean_steady: to_mbps(steady_pkts, steady_time),
+        ramp_discard_s,
+        loss_events,
+        rounds,
+        loaded_rtt_s: cfg.rtt_s + queue_delay_acc / rounds.max(1) as f64,
+    }
+}
+
+/// Scalar reference for [`TcpSimulator::run`] and
+/// [`TcpSimulator::run_traced`]: the original flow-round loop, retained
+/// verbatim as the executable contract for the production kernel. It
+/// divides for `sent`, evaluates `1 − (1−p)^sent` with `powf` and matches
+/// on the congestion control for every flow-round; slow, but the
+/// proptests assert the kernel's samples and traces match it bit-for-bit,
+/// so any drift in a loss decision or a sum is a test failure.
+pub fn reference_run<R: Rng + ?Sized>(
+    cfg: &FlowConfig,
+    ramp_discard_s: f64,
+    rng: &mut R,
+    mut trace: Option<&mut Vec<TracePoint>>,
+) -> ThroughputSample {
+    let mss = cfg.mss_bytes as f64;
+    let rounds = (cfg.duration_s / cfg.rtt_s).ceil() as usize;
+    let ramp_discard_s = ramp_discard_s.clamp(0.0, cfg.duration_s * 0.8);
+    let discard_rounds = (ramp_discard_s / cfg.rtt_s).floor() as usize;
+
+    // Bottleneck capacity per round, in packets.
+    let cap_pkts_round = cfg.bottleneck.packets_per_sec(cfg.mss_bytes) * cfg.rtt_s;
+    // Per-flow receive-window cap, packets.
+    let rwnd_pkts = (cfg.rwnd_total_bytes / cfg.n_flows as f64 / mss).max(1.0);
+
+    let mut flows: Vec<FlowState> = (0..cfg.n_flows)
+        .map(|_| FlowState {
+            cwnd: cfg.initial_cwnd_pkts.min(rwnd_pkts),
+            ssthresh: rwnd_pkts,
+            slow_start: true,
+            w_max: rwnd_pkts,
+            t_since_loss: 0.0,
+        })
+        .collect();
+
+    let mut total_pkts = 0.0f64;
+    let mut steady_pkts = 0.0f64;
+    let mut loss_events = 0u64;
+    let mut queue_delay_acc = 0.0f64;
+
+    for round in 0..rounds {
+        let demand: f64 = flows.iter().map(|f| f.cwnd).sum();
+        let delivered = demand.min(cap_pkts_round);
+        total_pkts += delivered;
+        if round >= discard_rounds {
+            steady_pkts += delivered;
+        }
+        if let Some(tr) = trace.as_deref_mut() {
+            tr.push(TracePoint {
+                t_s: round as f64 * cfg.rtt_s,
+                cwnd_pkts: demand,
+                rate: Mbps::from_bytes_per_sec(delivered * mss / cfg.rtt_s),
+            });
+        }
+
+        // Standing queue this round: packets beyond the pipe, capped by
+        // the buffer. Draining them takes queue/cap_rate seconds — the
+        // queueing delay every packet in the round experiences.
+        let queue_pkts = (demand - cap_pkts_round).clamp(0.0, cap_pkts_round * cfg.buffer_bdp);
+        queue_delay_acc += queue_pkts / cap_pkts_round * cfg.rtt_s;
+
+        // Congestion loss pressure: load beyond what capacity plus the
+        // bottleneck buffer can absorb this round.
+        let buffered_cap = cap_pkts_round * (1.0 + cfg.buffer_bdp);
+        let overshoot = if demand > buffered_cap { (demand - buffered_cap) / demand } else { 0.0 };
+
+        for f in flows.iter_mut() {
+            // Probability at least one of this flow's packets was lost:
+            // random loss over its delivered share, plus congestion loss
+            // proportional to the round's overshoot.
+            let sent = f.cwnd * delivered / demand.max(1e-12);
+            let p_rand = 1.0 - (1.0 - cfg.loss_rate).powf(sent.max(0.0));
+            let p_cong = (overshoot * 1.5).min(1.0);
+            let p_loss = (p_rand + p_cong - p_rand * p_cong).clamp(0.0, 1.0);
+
+            if rng.gen::<f64>() < p_loss {
+                loss_events += 1;
+                match cfg.congestion_control {
+                    CongestionControl::Reno => {
+                        f.ssthresh = (f.cwnd / 2.0).max(2.0);
+                        f.cwnd = f.ssthresh;
+                    }
+                    CongestionControl::Cubic => {
+                        f.w_max = f.cwnd;
+                        f.t_since_loss = 0.0;
+                        f.cwnd = (f.cwnd * CUBIC_BETA).max(2.0);
+                        f.ssthresh = f.cwnd;
+                    }
+                }
+                f.slow_start = false;
+            } else if f.slow_start {
+                f.cwnd = (f.cwnd * 2.0).min(rwnd_pkts);
+                if f.cwnd >= f.ssthresh {
+                    f.slow_start = false;
+                }
+            } else {
+                f.t_since_loss += cfg.rtt_s;
+                f.cwnd = match cfg.congestion_control {
+                    CongestionControl::Reno => (f.cwnd + 1.0).min(rwnd_pkts),
+                    CongestionControl::Cubic => cubic_window(f.w_max, f.t_since_loss)
+                        .max(cubic_tcp_friendly(f.w_max, f.t_since_loss, cfg.rtt_s))
+                        .max(f.cwnd) // never shrink without loss
+                        .min(rwnd_pkts),
+                };
+            }
+        }
+    }
+
+    let total_time = rounds as f64 * cfg.rtt_s;
+    let steady_time = (rounds - discard_rounds) as f64 * cfg.rtt_s;
+    let to_mbps = |pkts: f64, secs: f64| {
+        if secs <= 0.0 {
+            Mbps::ZERO
+        } else {
+            Mbps::from_bytes_per_sec(pkts * mss / secs)
+        }
+    };
+
+    ThroughputSample {
+        mean_all: to_mbps(total_pkts, total_time),
+        mean_steady: to_mbps(steady_pkts, steady_time),
+        ramp_discard_s,
+        loss_events,
+        rounds,
+        loaded_rtt_s: cfg.rtt_s + queue_delay_acc / rounds.max(1) as f64,
     }
 }
 
@@ -533,6 +762,58 @@ mod tests {
             assert!(p.rate.is_valid());
             assert!(p.rate.0 <= 200.0 + 1e-9);
             assert!(p.cwnd_pkts > 0.0);
+        }
+    }
+
+    #[test]
+    fn loss_filter_brackets_the_exact_decision() {
+        // One flow carrying the whole round (delivered/demand = 1), so
+        // x = sent·(−ln q). Draws at and one ulp either side of the exact
+        // p_loss must fall inside the bounds; every draw the filter does
+        // decide must agree with `u < p_loss`.
+        let mut r = rng(41);
+        for &p in &[1e-7f64, 1e-4, 0.01, 0.05] {
+            let q = 1.0 - p;
+            let neg_ln_q = -q.ln();
+            for &p_cong in &[0.0, 0.3, 1.0] {
+                let filter = LossFilter::new(neg_ln_q, p_cong);
+                let mut x = 1e-9;
+                while x <= 5.0 {
+                    let sent = x / neg_ln_q;
+                    let exact = exact_p_loss(sent, q, p_cong);
+                    for u in [exact.next_down(), exact, exact.next_up()] {
+                        if (0.0..1.0).contains(&u) {
+                            assert_eq!(filter.decide(sent, u), None, "p={p} x={x} u={u}");
+                        }
+                    }
+                    for _ in 0..200 {
+                        let u: f64 = r.gen();
+                        if let Some(lost) = filter.decide(sent, u) {
+                            assert_eq!(lost, u < exact, "p={p} x={x} u={u} exact={exact}");
+                        }
+                    }
+                    if p_cong < 1.0 && x < 1e-3 {
+                        // Far from the band the filter decides on its own.
+                        assert_eq!(filter.decide(sent, 0.999), Some(false), "p={p} x={x}");
+                    }
+                    x *= 1.7;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn configs_outside_the_filter_domain_run_the_reference() {
+        let mut zero_window = FlowConfig::new(2, 3.0, 0.02, Mbps(50.0)).with_loss(1e-3);
+        zero_window.initial_cwnd_pkts = 0.0;
+        let mut nan_loss = FlowConfig::new(3, 3.0, 0.02, Mbps(50.0));
+        nan_loss.loss_rate = f64::NAN;
+        for cfg in [zero_window, nan_loss] {
+            let got = TcpSimulator::new(cfg.clone()).run(1.0, &mut rng(9));
+            let want = reference_run(&cfg, 1.0, &mut rng(9), None);
+            assert_eq!(got.mean_all.0.to_bits(), want.mean_all.0.to_bits());
+            assert_eq!(got.mean_steady.0.to_bits(), want.mean_steady.0.to_bits());
+            assert_eq!(got.loss_events, want.loss_events);
         }
     }
 

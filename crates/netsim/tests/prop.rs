@@ -2,14 +2,88 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use st_netsim::tcp::{mathis_ceiling, FlowConfig, TcpSimulator};
+use rand::{RngCore, SeedableRng};
+use st_netsim::tcp::{
+    mathis_ceiling, reference_run, CongestionControl, FlowConfig, TcpSimulator, ThroughputSample,
+    TracePoint,
+};
 use st_netsim::{
     AccessLink, AccessMedium, Band, DeviceProfile, Mbps, NetworkPath, RttModel, WifiLink,
 };
 
+/// Every float of a sample as raw bits, so `-0.0`/`0.0` and NaN payloads
+/// count as differences.
+fn sample_bits(s: &ThroughputSample) -> [u64; 6] {
+    [
+        s.mean_all.0.to_bits(),
+        s.mean_steady.0.to_bits(),
+        s.ramp_discard_s.to_bits(),
+        s.loss_events,
+        s.rounds as u64,
+        s.loaded_rtt_s.to_bits(),
+    ]
+}
+
+fn trace_bits(trace: &[TracePoint]) -> Vec<[u64; 3]> {
+    trace.iter().map(|p| [p.t_s.to_bits(), p.cwnd_pkts.to_bits(), p.rate.0.to_bits()]).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn tcp_kernel_matches_reference_bit_for_bit(
+        flows in 1usize..=8,
+        rate in 1.0f64..2000.0,
+        rtt_ms in 2.0f64..120.0,
+        loss_kind in 0u8..3,
+        loss_frac in 0.0f64..1.0,
+        rwnd_kind in 0u8..3,
+        rwnd_frac in 0.0f64..1.0,
+        buffer_bdp in 0.0f64..2.0,
+        cubic in any::<bool>(),
+        discard_on in any::<bool>(),
+        discard in 0.0f64..5.0,
+        seed in any::<u64>(),
+    ) {
+        // Lossless, log-uniform loss in [1e-7, 1e-2], or uniform up to 5%.
+        let loss = match loss_kind {
+            0 => 0.0,
+            1 => 10f64.powf(-7.0 + 5.0 * loss_frac),
+            _ => 0.05 * loss_frac,
+        };
+        // A tiny (1–16 packets), typical (64 KiB–16 MiB) or huge (1–64 GiB)
+        // total window: with 1 Mbps–2 Gbps pipes this spans window-limited
+        // and saturating transfers.
+        let rwnd = match rwnd_kind {
+            0 => 1500.0 * (1.0 + 15.0 * rwnd_frac),
+            1 => 65536.0 * 256f64.powf(rwnd_frac),
+            _ => 1024f64.powi(3) * 64f64.powf(rwnd_frac),
+        };
+        let cc = if cubic { CongestionControl::Cubic } else { CongestionControl::Reno };
+        let mut cfg = FlowConfig::new(flows, 6.0, rtt_ms / 1000.0, Mbps(rate))
+            .with_loss(loss)
+            .with_rwnd_total(rwnd)
+            .with_congestion_control(cc);
+        cfg.buffer_bdp = buffer_bdp;
+        let ramp = if discard_on { discard } else { 0.0 };
+
+        let mut want_trace = Vec::new();
+        let mut want_rng = StdRng::seed_from_u64(seed);
+        let want = reference_run(&cfg, ramp, &mut want_rng, Some(&mut want_trace));
+        let sim = TcpSimulator::new(cfg);
+        let mut run_rng = StdRng::seed_from_u64(seed);
+        let got = sim.run(ramp, &mut run_rng);
+        let mut traced_rng = StdRng::seed_from_u64(seed);
+        let (got_traced, got_trace) = sim.run_traced(ramp, &mut traced_rng);
+        prop_assert_eq!(sample_bits(&got), sample_bits(&want));
+        prop_assert_eq!(sample_bits(&got_traced), sample_bits(&want));
+        prop_assert_eq!(trace_bits(&got_trace), trace_bits(&want_trace));
+        // Same number of draws: the streams continue in lockstep.
+        let next = want_rng.next_u64();
+        prop_assert_eq!(run_rng.next_u64(), next);
+        prop_assert_eq!(traced_rng.next_u64(), next);
+    }
 
     #[test]
     fn tcp_throughput_never_exceeds_bottleneck(

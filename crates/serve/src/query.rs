@@ -392,10 +392,12 @@ fn watch_row(
     })
 }
 
-fn write_line(writer: &mut TcpStream, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+/// Send `line` and its newline in one write. Split across two writes,
+/// the newline would sit behind Nagle until the peer's delayed ACK
+/// (~40 ms on Linux), stalling every answer after a connection's first.
+fn write_line(writer: &mut TcpStream, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// Run one `watch` feed on an open connection: emit the current epoch
@@ -412,7 +414,7 @@ fn stream_watch(
     let (base, rx) = service.subscribe_epochs();
     let mut prev = Arc::new(MetricsSnapshot::empty());
     let mut sent = 0u64;
-    write_line(writer, &watch_row(service, &base, &mut prev))?;
+    write_line(writer, watch_row(service, &base, &mut prev))?;
     sent += 1;
     if base.final_epoch || max.is_some_and(|m| sent >= m) {
         return Ok(());
@@ -420,7 +422,7 @@ fn stream_watch(
     loop {
         match rx.recv_timeout(WATCH_POLL) {
             Ok(snap) => {
-                write_line(writer, &watch_row(service, &snap, &mut prev))?;
+                write_line(writer, watch_row(service, &snap, &mut prev))?;
                 sent += 1;
                 if snap.final_epoch || max.is_some_and(|m| sent >= m) {
                     return Ok(());
@@ -437,6 +439,8 @@ fn stream_watch(
 }
 
 fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
+    // Answers are small and latency-bound: send each as soon as it is written.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
     let reader = BufReader::new(read_half);
     let mut writer = stream;
@@ -463,7 +467,7 @@ fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
             }
         }
         let (resp, shutdown) = dispatch(service, &line);
-        if write_line(&mut writer, &resp).is_err() {
+        if write_line(&mut writer, resp).is_err() {
             break;
         }
         if shutdown {
@@ -479,10 +483,8 @@ pub fn query_once(addr: SocketAddr, line: &str, timeout: Duration) -> io::Result
     let stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    stream.set_nodelay(true)?;
+    write_line(&mut stream.try_clone()?, line.to_string())?;
     let mut resp = String::new();
     BufReader::new(stream).read_line(&mut resp)?;
     if resp.is_empty() {
@@ -612,6 +614,34 @@ mod tests {
         reader.read_line(&mut resp).expect("status after watch");
         let v: serde_json::Value = serde_json::from_str(&resp).expect("status parses");
         assert_eq!(get(&v, "kind").as_str(), Some("status"));
+        server.stop();
+    }
+
+    #[test]
+    fn back_to_back_queries_on_one_connection_do_not_stall() {
+        // Every answer after a connection's first used to wait ~40 ms on
+        // the peer's delayed ACK; 20 in a row must each be quick.
+        let s = service();
+        let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
+        let t = Duration::from_secs(5);
+        let stream = TcpStream::connect_timeout(&server.addr(), t).expect("connect");
+        stream.set_read_timeout(Some(t)).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut ms: Vec<f64> = (0..20)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                writer.write_all(b"{\"cmd\":\"status\"}\n").unwrap();
+                let mut resp = String::new();
+                reader.read_line(&mut resp).expect("status answer");
+                assert!(resp.contains("\"status\""), "{resp}");
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        let median = (ms[9] + ms[10]) / 2.0;
+        assert!(median < 20.0, "median query {median:.1} ms over one connection: {ms:?}");
         server.stop();
     }
 
