@@ -11,12 +11,12 @@
 //! nothing downstream clones `Vec<Measurement>` rows or assumes one
 //! contiguous slice.
 //!
-//! The stores arrive either from the batch pipeline (one sealed segment
-//! wrapping a sanitized campaign — [`CityAnalysis::new`]) or from the
-//! incremental ingest front-end (chunk-built multi-segment stores —
-//! [`CityAnalysis::from_stores`]). The fit path is shared: BST consumes
-//! each selection's gathered values, which are chunking-invariant, so
-//! both roads produce bit-identical models and assignments.
+//! Every pipeline feed ends in [`CityAnalysis::from_stores`]: the batch
+//! feed hands it one sealed segment per sanitized campaign, the replay
+//! feeds chunk-built multi-segment stores, and [`CityAnalysis::new`]
+//! wraps a single dataset the batch way. BST consumes each selection's
+//! gathered values, which are chunking-invariant, so every feed
+//! produces bit-identical models and assignments.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,14 +57,6 @@ impl CityAnalysis {
     /// so fits are bit-identical to the row-oriented pipeline this
     /// store-backed version replaced.
     pub fn new(dataset: CityDataset, seed: u64) -> Self {
-        Self::new_observed(dataset, seed, &st_obs::Registry::disabled())
-    }
-
-    /// [`CityAnalysis::new`] recording fit diagnostics into `reg`
-    /// (DESIGN.md §13). Observation happens strictly *after* each fit —
-    /// the registry never feeds back into the RNG stream or the models,
-    /// so the fitted analysis is bit-identical to [`CityAnalysis::new`].
-    pub fn new_observed(dataset: CityDataset, seed: u64, reg: &st_obs::Registry) -> Self {
         let CityDataset { config, ookla, mlab, mba, .. } = dataset;
         Self::from_stores(
             config,
@@ -72,13 +64,15 @@ impl CityAnalysis {
             SegmentedStore::from_measurements(&mlab),
             SegmentedStore::from_measurements(&mba),
             seed,
-            reg,
+            &st_obs::Registry::disabled(),
         )
     }
 
-    /// Fit BST to three already-built (frozen) campaign stores — the
-    /// shared back half of the batch and incremental-ingest pipelines.
-    /// The RNG threading is exactly [`CityAnalysis::new`]'s, and BST
+    /// Fit BST to three already-built (frozen) campaign stores — the fit
+    /// stage of every pipeline feed — recording fit diagnostics into
+    /// `reg` (DESIGN.md §13). Observation happens strictly *after* each
+    /// fit: the registry never feeds back into the RNG stream or the
+    /// models. The RNG threading is exactly [`CityAnalysis::new`]'s, and BST
     /// consumes gathered (contiguous) values, so any segmentation of the
     /// same accepted rows produces bit-identical models.
     pub fn from_stores(
@@ -302,9 +296,17 @@ mod tests {
     }
 
     fn observed_analysis() -> (CityAnalysis, st_obs::MetricsSnapshot) {
-        let ds = CityDataset::generate(City::A, 0.004, 99);
+        let CityDataset { config, ookla, mlab, mba, .. } =
+            CityDataset::generate(City::A, 0.004, 99);
         let reg = st_obs::Registry::new();
-        let a = CityAnalysis::new_observed(ds, 7, &reg);
+        let a = CityAnalysis::from_stores(
+            config,
+            SegmentedStore::from_measurements(&ookla),
+            SegmentedStore::from_measurements(&mlab),
+            SegmentedStore::from_measurements(&mba),
+            7,
+            &reg,
+        );
         (a, reg.snapshot())
     }
 

@@ -23,292 +23,55 @@
 //! ledger: an ingest row and a batch row with equal `artifact_hash`
 //! produced the same bytes.
 //!
-//! Outputs mirror `repro`: `DIR/<id>.svg`, `DIR/<id>.json`, `report.md`,
-//! `BENCH_timings.json`, `BENCH_trace.json`, `BENCH_metrics.json` (with
-//! `--metrics`), and the appended ledger row. `--baseline` diffs the
-//! run's metrics against a previous `BENCH_metrics.json` exactly as
-//! `repro` does: deterministic drift fails the run, wall-clock deltas
-//! only warn.
+//! Outputs, `--baseline` and exit codes are `repro`'s (the shared
+//! `st_bench::output` writer and `st_bench::cli` parser), except that a
+//! degraded render always fails the run.
 
-use serde::Serialize;
-use st_bench::cli::{self, CliError};
-use st_bench::diff::{diff_metrics, DiffOptions, MetricsDoc};
-use st_bench::ledger::{append_ledger, IngestLedgerRow};
-use st_bench::{
-    build_analyses_ingest, render_report, run_all_observed, IngestOptions, StageTimings,
-    SuperviseOptions,
-};
-use std::path::{Path, PathBuf};
+use st_bench::cli;
+use st_bench::ledger::IngestLedgerRow;
+use st_bench::output::{write_run, ChunkPlan};
+use st_bench::{run, Feed, IngestOptions};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: ingest [--scale S] [--seed N] [--out DIR] [--parallelism P] \
      [--chunk-rows C] [--seal-rows R] [--metrics] \
      [--baseline METRICS.json] [--wall-ratio R] [--wall-floor S]";
 
-struct Args {
-    scale: f64,
-    seed: u64,
-    out: PathBuf,
-    parallelism: usize,
-    ingest: IngestOptions,
-    metrics: bool,
-    baseline: Option<PathBuf>,
-    diff_options: DiffOptions,
-}
-
-fn parse_args() -> Result<Args, CliError> {
-    let mut args = Args {
-        scale: 0.05,
-        seed: 20220707,
-        out: PathBuf::from("ingest-out"),
-        parallelism: st_datagen::par::default_parallelism(),
-        ingest: IngestOptions::default(),
-        metrics: false,
-        baseline: None,
-        diff_options: DiffOptions::default(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| cli::next_value(&mut it, name);
-        match flag.as_str() {
-            "--scale" => args.scale = cli::parse_scale("--scale", &value("--scale")?)?,
-            "--seed" => args.seed = cli::parse_u64("--seed", &value("--seed")?)?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--parallelism" => {
-                args.parallelism =
-                    cli::parse_at_least_one("--parallelism", &value("--parallelism")?)?;
-            }
-            "--chunk-rows" => {
-                args.ingest.chunk_rows =
-                    cli::parse_at_least_one("--chunk-rows", &value("--chunk-rows")?)?;
-            }
-            "--seal-rows" => {
-                args.ingest.seal_rows =
-                    cli::parse_at_least_one("--seal-rows", &value("--seal-rows")?)?;
-            }
-            "--metrics" => args.metrics = true,
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--wall-ratio" => {
-                args.diff_options.wall_ratio =
-                    cli::parse_float_min("--wall-ratio", &value("--wall-ratio")?, 1.0)?;
-            }
-            "--wall-floor" => {
-                args.diff_options.wall_floor_s =
-                    cli::parse_float_min("--wall-floor", &value("--wall-floor")?, 0.0)?;
-            }
-            "--help" | "-h" => return Err(CliError::Help(USAGE.into())),
-            other => return Err(CliError::Usage(format!("unknown flag {other}\n{USAGE}"))),
-        }
-    }
-    Ok(args)
-}
-
-/// The machine-readable timing record written next to the artifacts.
-#[derive(Serialize)]
-struct BenchRecord {
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    chunk_rows: usize,
-    seal_rows: usize,
-    timings: StageTimings,
-    ingest_s: f64,
-}
-
-/// The `BENCH_metrics.json` schema, as written by `repro`.
-#[derive(Serialize)]
-struct MetricsRecord {
-    schema: &'static str,
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    deterministic: st_obs::DeterministicMetrics,
-    wall_clock: st_obs::WallClockMetrics,
-}
-
-/// Write one output file. Failures warn (with the path) and are counted
-/// so the run can exit nonzero instead of silently dropping artifacts.
-fn write_file(path: &Path, contents: &str, failures: &mut usize) -> bool {
-    match std::fs::write(path, contents) {
-        Ok(()) => true,
-        Err(e) => {
-            *failures += 1;
-            eprintln!("WARN: cannot write {}: {e}", path.display());
-            false
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let mut plan = IngestOptions::default();
+    let parsed = cli::parse_args(std::env::args().skip(1), USAGE, "ingest-out", |flag, value| {
+        match flag {
+            "--chunk-rows" => plan.chunk_rows = cli::parse_at_least_one(flag, &value()?)?,
+            "--seal-rows" => plan.seal_rows = cli::parse_at_least_one(flag, &value()?)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    let args = match parsed {
         Ok(a) => a,
         Err(e) => return e.report(),
     };
 
     eprintln!(
         "replaying 4 cities at scale {} (seed {}, parallelism {}, chunks of {}, seal at {}) ...",
-        args.scale, args.seed, args.parallelism, args.ingest.chunk_rows, args.ingest.seal_rows
+        args.scale, args.seed, args.parallelism, plan.chunk_rows, plan.seal_rows
     );
-    let t0 = std::time::Instant::now();
     let obs = st_obs::Registry::new();
-    let (analyses, timings, sanitize, ingest) =
-        build_analyses_ingest(args.scale, args.seed, args.parallelism, args.ingest, &obs);
+    let run =
+        run(&args.run_options(), Feed::Chunks(plan), &obs).expect("the chunk feed cannot fail");
+    let r = &run.replay;
     eprintln!(
-        "ingested {} rows in {} chunks ({} segments sealed) in {:.1}s; running experiments ...",
-        ingest.rows, ingest.chunks, ingest.segments, ingest.ingest_s
+        "ingested {} rows in {} chunks ({} segments sealed) in {:.1}s",
+        r.rows, r.chunks, r.segments, r.ingest_s
     );
-
-    let opts = SuperviseOptions { parallelism: args.parallelism, ..SuperviseOptions::default() };
-    let report = run_all_observed(&analyses, args.scale, args.seed, &opts, timings, sanitize, &obs);
-    let claims = st_bench::claims::check_all(&analyses);
-
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("cannot create {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
-    let mut written = 0usize;
-    let mut write_failures = 0usize;
-    for a in &report.artifacts {
-        if let Some(svg) = &a.svg {
-            if write_file(&args.out.join(format!("{}.svg", a.id)), svg, &mut write_failures) {
-                written += 1;
-            }
-        }
-        if write_file(&args.out.join(format!("{}.json", a.id)), &a.json, &mut write_failures) {
-            written += 1;
-        }
-    }
-
-    let bench = BenchRecord {
-        scale: args.scale,
-        seed: args.seed,
-        parallelism: args.parallelism,
-        chunk_rows: args.ingest.chunk_rows,
-        seal_rows: args.ingest.seal_rows,
-        timings: report.timings,
-        ingest_s: ingest.ingest_s,
-    };
-    let timings_path = args.out.join("BENCH_timings.json");
-    let timings_json = serde_json::to_string_pretty(&bench).expect("timings serialize");
-    if write_file(&timings_path, &timings_json, &mut write_failures) {
-        written += 1;
-        eprintln!("wrote {}", timings_path.display());
-    }
-
-    let snapshot = report.metrics.as_ref().expect("observed run carries metrics");
-    let record = MetricsRecord {
-        schema: snapshot.schema,
-        scale: args.scale,
-        seed: args.seed,
-        parallelism: args.parallelism,
-        deterministic: snapshot.deterministic.clone(),
-        wall_clock: snapshot.wall_clock.clone(),
-    };
-    let metrics_json = serde_json::to_string_pretty(&record).expect("metrics serialize");
-    if args.metrics {
-        let metrics_path = args.out.join("BENCH_metrics.json");
-        if write_file(&metrics_path, &metrics_json, &mut write_failures) {
-            written += 1;
-            eprintln!("wrote {}", metrics_path.display());
-        }
-    }
-
-    let trace_path = args.out.join("BENCH_trace.json");
-    let trace_json = obs.trace().to_chrome_json(&format!(
-        "ingest scale={} seed={} chunk_rows={}",
-        args.scale, args.seed, args.ingest.chunk_rows
-    ));
-    if write_file(&trace_path, &trace_json, &mut write_failures) {
-        written += 1;
-        eprintln!("wrote {}", trace_path.display());
-    }
-
-    let ledger_path = args.out.join("BENCH_ledger.jsonl");
     let row = IngestLedgerRow::from_report(
-        &report,
+        &run.report,
         args.parallelism,
-        args.ingest.chunk_rows,
-        args.ingest.seal_rows,
-        &ingest,
+        plan.chunk_rows,
+        plan.seal_rows,
+        &run.replay,
     );
-    match append_ledger(&ledger_path, &row) {
-        Ok(()) => eprintln!("appended ingest ledger row to {}", ledger_path.display()),
-        Err(e) => {
-            write_failures += 1;
-            eprintln!("WARN: cannot append to {}: {e}", ledger_path.display());
-        }
-    }
-
-    let mut md = render_report(&report);
-    md.push_str("\n## Shape claims (paper vs this run)\n\n");
-    md.push_str(&st_bench::claims::render_claims(&claims));
-    let holds = claims.iter().filter(|c| c.holds).count();
-    md.push_str(&format!("\n{holds}/{} claims hold\n", claims.len()));
-    if let Err(e) = std::fs::write(args.out.join("report.md"), &md) {
-        eprintln!("cannot write report: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    println!("{md}");
-
-    let mut baseline_drift = false;
-    if let Some(baseline_path) = &args.baseline {
-        let baseline_text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline_doc = match MetricsDoc::parse(&baseline_text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let current_doc = MetricsDoc::parse(&metrics_json).expect("own snapshot parses");
-        let diff = diff_metrics(&baseline_doc, &current_doc, args.diff_options);
-        println!("{}", diff.render(&baseline_doc, &current_doc));
-        if diff.deterministic_match() {
-            eprintln!(
-                "baseline {}: deterministic metrics match ({} keys)",
-                baseline_path.display(),
-                diff.matched_keys
-            );
-        } else {
-            baseline_drift = true;
-            eprintln!(
-                "BASELINE DRIFT: {} deterministic keys differ from {}",
-                diff.drift.len(),
-                baseline_path.display()
-            );
-        }
-    }
-
-    eprintln!(
-        "generate {:.1}s | ingest {:.1}s ({:.0} rows/s) | fit {:.1}s | derive {:.1}s | render {:.1}s",
-        report.timings.generate_s,
-        ingest.ingest_s,
-        row.rows_per_s,
-        report.timings.fit_s,
-        report.timings.derive_s,
-        report.timings.render_s
-    );
-    eprintln!("wrote {} files to {} in {:.1?}", written + 1, args.out.display(), t0.elapsed());
-    if write_failures > 0 {
-        eprintln!("WRITE FAILURES: {write_failures} output files could not be written");
-    }
-    if report.health.is_degraded() {
-        let h = &report.health;
-        eprintln!(
-            "DEGRADED: {} of {} render jobs failed ({} retried); see the report's Health section",
-            h.jobs_failed, h.jobs_total, h.jobs_retried
-        );
-        return ExitCode::FAILURE;
-    }
-    if baseline_drift || write_failures > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let chunk_plan = ChunkPlan { ingest: plan, epoch_rows: None };
+    // A degraded replay always fails: no --allow-degraded here.
+    write_run(&args, "ingest", Some(chunk_plan), &run, &obs, &row).exit_code(false)
 }

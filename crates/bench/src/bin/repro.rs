@@ -8,26 +8,11 @@
 //! ```
 //!
 //! Generates the four city datasets at `S` of the paper's campaign sizes
-//! (default 0.02 ≈ 15k Ookla tests for City-A), fits BST, runs every
-//! experiment, and writes:
-//!
-//! * `DIR/report.md` — all tables and figure summaries,
-//! * `DIR/<id>.svg` — one chart per figure,
-//! * `DIR/<id>.json` — machine-readable series/rows,
-//! * `DIR/BENCH_timings.json` — per-stage wall-clock timings,
-//! * `DIR/BENCH_trace.json` — the run's span tree and lifecycle events
-//!   in Chrome Trace Event Format (open in Perfetto or
-//!   `chrome://tracing`),
-//! * `DIR/BENCH_ledger.jsonl` — one summary row **appended** per run
-//!   (schema, knobs, artifact hash, headline counters, stage
-//!   durations); the run history of a working directory,
-//! * `DIR/BENCH_metrics.json` — the full pipeline metrics snapshot
-//!   (with `--metrics`): a `deterministic` section that is
-//!   byte-identical at every parallelism level, and a `wall_clock`
-//!   span section that is not (see DESIGN.md §"Observability").
-//!
-//! `--parallelism` fans dataset generation, BST fitting, and artifact
-//! rendering out over worker threads (default: all cores). Output is
+//! (default 0.05), feeds each campaign whole through the sanitizer
+//! (`st_bench::Feed::Batch`), fits BST, runs every experiment, and
+//! writes the artifacts, `report.md` and the `BENCH_*` records described
+//! in `st_bench::output` into `DIR`. `--parallelism` fans every stage
+//! out over worker threads (default: all cores); output is
 //! byte-identical at every parallelism level.
 //!
 //! `--baseline METRICS.json` diffs this run's metrics against a
@@ -43,331 +28,62 @@
 //! report's `## Health` section); `--inject-fail LABEL` forces the named
 //! render job to panic (its artifacts degrade to a placeholder); each
 //! render job gets `--deadline-secs` per attempt plus one retry. A run
-//! with degraded artifacts exits nonzero unless `--allow-degraded` is
+//! with degraded artifacts exits 1 unless `--allow-degraded` is
 //! passed — the report and surviving artifacts are written either way.
-//! A run that cannot write one of its output files warns and exits
-//! nonzero too: silently missing artifacts would poison any later
-//! baseline comparison.
+//! A run that cannot write one of its output files warns and exits 1
+//! too: silently missing artifacts would poison any later baseline
+//! comparison. `--help` exits 0; a malformed invocation exits 2.
 
-use serde::Serialize;
-use st_bench::diff::{diff_metrics, DiffOptions, MetricsDoc};
-use st_bench::ledger::{append_ledger, LedgerRow};
-use st_bench::{
-    build_analyses_observed, render_report, run_all_observed, StageTimings, SuperviseOptions,
-};
+use st_bench::cli::{self, CliError};
+use st_bench::ledger::LedgerRow;
+use st_bench::output::write_run;
+use st_bench::{run, Feed, RunOptions};
 use st_datagen::DirtyScenario;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-struct Args {
-    scale: f64,
-    seed: u64,
-    out: PathBuf,
-    parallelism: usize,
-    dirty_rate: f64,
-    inject_fail: Vec<String>,
-    deadline_secs: u64,
-    allow_degraded: bool,
-    metrics: bool,
-    baseline: Option<PathBuf>,
-    diff_options: DiffOptions,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        scale: 0.05,
-        seed: 20220707,
-        out: PathBuf::from("repro-out"),
-        parallelism: st_datagen::par::default_parallelism(),
-        dirty_rate: 0.0,
-        inject_fail: Vec::new(),
-        deadline_secs: 300,
-        allow_degraded: false,
-        metrics: false,
-        baseline: None,
-        diff_options: DiffOptions::default(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--scale" => {
-                args.scale = value("--scale")?.parse().map_err(|e| format!("bad --scale: {e}"))?;
-                if !(args.scale > 0.0 && args.scale <= 1.0) {
-                    return Err("--scale must be in (0, 1]".into());
-                }
-            }
-            "--seed" => {
-                args.seed = value("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--parallelism" => {
-                args.parallelism = value("--parallelism")?
-                    .parse()
-                    .map_err(|e| format!("bad --parallelism: {e}"))?;
-                if args.parallelism == 0 {
-                    return Err("--parallelism must be >= 1".into());
-                }
-            }
-            "--dirty-rate" => {
-                args.dirty_rate =
-                    value("--dirty-rate")?.parse().map_err(|e| format!("bad --dirty-rate: {e}"))?;
-                if !(0.0..=1.0).contains(&args.dirty_rate) {
-                    return Err("--dirty-rate must be in [0, 1]".into());
-                }
-            }
-            "--inject-fail" => args.inject_fail.push(value("--inject-fail")?),
-            "--deadline-secs" => {
-                args.deadline_secs = value("--deadline-secs")?
-                    .parse()
-                    .map_err(|e| format!("bad --deadline-secs: {e}"))?;
-                if args.deadline_secs == 0 {
-                    return Err("--deadline-secs must be >= 1".into());
-                }
-            }
-            "--allow-degraded" => args.allow_degraded = true,
-            "--metrics" => args.metrics = true,
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--wall-ratio" => {
-                args.diff_options.wall_ratio =
-                    value("--wall-ratio")?.parse().map_err(|e| format!("bad --wall-ratio: {e}"))?;
-                if args.diff_options.wall_ratio < 1.0 || args.diff_options.wall_ratio.is_nan() {
-                    return Err("--wall-ratio must be >= 1.0".into());
-                }
-            }
-            "--wall-floor" => {
-                args.diff_options.wall_floor_s =
-                    value("--wall-floor")?.parse().map_err(|e| format!("bad --wall-floor: {e}"))?;
-                if args.diff_options.wall_floor_s < 0.0 || args.diff_options.wall_floor_s.is_nan() {
-                    return Err("--wall-floor must be >= 0".into());
-                }
-            }
-            "--help" | "-h" => {
-                return Err("usage: repro [--scale S] [--seed N] [--out DIR] [--parallelism P] \
-                     [--dirty-rate R] [--inject-fail LABEL]... [--deadline-secs D] \
-                     [--allow-degraded] [--metrics] [--baseline METRICS.json] \
-                     [--wall-ratio R] [--wall-floor S]"
-                    .into())
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(args)
-}
-
-/// The machine-readable timing record written next to the artifacts.
-#[derive(Serialize)]
-struct BenchRecord {
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    timings: StageTimings,
-}
-
-/// The `BENCH_metrics.json` schema: the run header, then the two metric
-/// classes. The deterministic section is byte-identical at every
-/// parallelism level; `wall_clock` (and the header's `parallelism`) is
-/// excluded from that contract.
-#[derive(Serialize)]
-struct MetricsRecord {
-    schema: &'static str,
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    deterministic: st_obs::DeterministicMetrics,
-    wall_clock: st_obs::WallClockMetrics,
-}
-
-/// Write one output file. Failures warn (with the path) and are counted
-/// so the run can exit nonzero instead of silently dropping artifacts.
-fn write_file(path: &Path, contents: &str, failures: &mut usize) -> bool {
-    match std::fs::write(path, contents) {
-        Ok(()) => true,
-        Err(e) => {
-            *failures += 1;
-            eprintln!("WARN: cannot write {}: {e}", path.display());
-            false
-        }
-    }
-}
+const USAGE: &str = "usage: repro [--scale S] [--seed N] [--out DIR] [--parallelism P] \
+     [--dirty-rate R] [--inject-fail LABEL]... [--deadline-secs D] \
+     [--allow-degraded] [--metrics] [--baseline METRICS.json] \
+     [--wall-ratio R] [--wall-floor S]";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
+    let mut dirty_rate = 0.0;
+    let mut fail_jobs = Vec::new();
+    let mut deadline_secs = 300;
+    let mut allow_degraded = false;
+    let parsed = cli::parse_args(std::env::args().skip(1), USAGE, "repro-out", |flag, value| {
+        match flag {
+            "--dirty-rate" => {
+                dirty_rate = cli::parse_float_min(flag, &value()?, 0.0)?;
+                if dirty_rate > 1.0 {
+                    return Err(CliError::Usage(format!("{flag} must be in [0, 1]")));
+                }
+            }
+            "--inject-fail" => fail_jobs.push(value()?),
+            "--deadline-secs" => deadline_secs = cli::parse_at_least_one(flag, &value()?)?,
+            "--allow-degraded" => allow_degraded = true,
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    let args = match parsed {
+        Ok(a) => a,
+        Err(e) => return e.report(),
     };
 
     eprintln!(
         "generating 4 cities at scale {} (seed {}, parallelism {}) ...",
         args.scale, args.seed, args.parallelism
     );
-    let t0 = std::time::Instant::now();
-    let dirty = (args.dirty_rate > 0.0).then(|| DirtyScenario::with_total_rate(args.dirty_rate));
+    let opts = RunOptions {
+        deadline: Duration::from_secs(deadline_secs as u64),
+        fail_jobs,
+        ..args.run_options()
+    };
+    let dirty = (dirty_rate > 0.0).then(|| DirtyScenario::with_total_rate(dirty_rate));
     let obs = st_obs::Registry::new();
-    let (analyses, timings, sanitize) =
-        build_analyses_observed(args.scale, args.seed, args.parallelism, dirty.as_ref(), &obs);
-    eprintln!(
-        "datasets in {:.1}s, BST fits in {:.1}s ({} records quarantined); running experiments ...",
-        timings.generate_s, timings.fit_s, sanitize.quarantined
-    );
-
-    let opts = SuperviseOptions {
-        parallelism: args.parallelism,
-        deadline: Duration::from_secs(args.deadline_secs),
-        fail_jobs: args.inject_fail.clone(),
-        ..SuperviseOptions::default()
-    };
-    let report = run_all_observed(&analyses, args.scale, args.seed, &opts, timings, sanitize, &obs);
-    let claims = st_bench::claims::check_all(&analyses);
-
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("cannot create {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
-    let mut written = 0usize;
-    let mut write_failures = 0usize;
-    for a in &report.artifacts {
-        if let Some(svg) = &a.svg {
-            if write_file(&args.out.join(format!("{}.svg", a.id)), svg, &mut write_failures) {
-                written += 1;
-            }
-        }
-        if write_file(&args.out.join(format!("{}.json", a.id)), &a.json, &mut write_failures) {
-            written += 1;
-        }
-    }
-
-    let bench = BenchRecord {
-        scale: args.scale,
-        seed: args.seed,
-        parallelism: args.parallelism,
-        timings: report.timings,
-    };
-    let timings_path = args.out.join("BENCH_timings.json");
-    let timings_json = serde_json::to_string_pretty(&bench).expect("timings serialize");
-    if write_file(&timings_path, &timings_json, &mut write_failures) {
-        written += 1;
-        eprintln!("wrote {}", timings_path.display());
-    }
-
-    // The metrics record is always assembled (the registry runs either
-    // way, and `--baseline` diffs against it); the snapshot file itself
-    // is only written under `--metrics`.
-    let snapshot = report.metrics.as_ref().expect("observed run carries metrics");
-    let record = MetricsRecord {
-        schema: snapshot.schema,
-        scale: args.scale,
-        seed: args.seed,
-        parallelism: args.parallelism,
-        deterministic: snapshot.deterministic.clone(),
-        wall_clock: snapshot.wall_clock.clone(),
-    };
-    let metrics_json = serde_json::to_string_pretty(&record).expect("metrics serialize");
-    if args.metrics {
-        let metrics_path = args.out.join("BENCH_metrics.json");
-        if write_file(&metrics_path, &metrics_json, &mut write_failures) {
-            written += 1;
-            eprintln!("wrote {}", metrics_path.display());
-        }
-    }
-
-    // The trace timeline. The process name deliberately excludes
-    // parallelism: with `ts`/`dur` stripped, the file is byte-identical
-    // at every parallelism level (DESIGN.md §14).
-    let trace_path = args.out.join("BENCH_trace.json");
-    let trace_json =
-        obs.trace().to_chrome_json(&format!("repro scale={} seed={}", args.scale, args.seed));
-    if write_file(&trace_path, &trace_json, &mut write_failures) {
-        written += 1;
-        eprintln!("wrote {}", trace_path.display());
-    }
-
-    let ledger_path = args.out.join("BENCH_ledger.jsonl");
-    match append_ledger(&ledger_path, &LedgerRow::from_report(&report, args.parallelism)) {
-        Ok(()) => eprintln!("appended run ledger row to {}", ledger_path.display()),
-        Err(e) => {
-            write_failures += 1;
-            eprintln!("WARN: cannot append to {}: {e}", ledger_path.display());
-        }
-    }
-
-    let mut md = render_report(&report);
-    md.push_str("\n## Shape claims (paper vs this run)\n\n");
-    md.push_str(&st_bench::claims::render_claims(&claims));
-    let holds = claims.iter().filter(|c| c.holds).count();
-    md.push_str(&format!("\n{holds}/{} claims hold\n", claims.len()));
-    if let Err(e) = std::fs::write(args.out.join("report.md"), &md) {
-        eprintln!("cannot write report: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    println!("{md}");
-
-    // Regression gate: diff this run's metrics against the baseline
-    // snapshot. Deterministic drift fails the run; wall-clock deltas
-    // beyond tolerance only warn (DESIGN.md §14).
-    let mut baseline_drift = false;
-    if let Some(baseline_path) = &args.baseline {
-        let baseline_text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline_doc = match MetricsDoc::parse(&baseline_text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let current_doc = MetricsDoc::parse(&metrics_json).expect("own snapshot parses");
-        let diff = diff_metrics(&baseline_doc, &current_doc, args.diff_options);
-        println!("{}", diff.render(&baseline_doc, &current_doc));
-        if diff.deterministic_match() {
-            eprintln!(
-                "baseline {}: deterministic metrics match ({} keys)",
-                baseline_path.display(),
-                diff.matched_keys
-            );
-        } else {
-            baseline_drift = true;
-            eprintln!(
-                "BASELINE DRIFT: {} deterministic keys differ from {}",
-                diff.drift.len(),
-                baseline_path.display()
-            );
-        }
-    }
-
-    eprintln!(
-        "generate {:.1}s | fit {:.1}s | derive {:.1}s | render {:.1}s",
-        report.timings.generate_s,
-        report.timings.fit_s,
-        report.timings.derive_s,
-        report.timings.render_s
-    );
-    eprintln!("wrote {} files to {} in {:.1?}", written + 1, args.out.display(), t0.elapsed());
-    if write_failures > 0 {
-        eprintln!("WRITE FAILURES: {write_failures} output files could not be written");
-    }
-    if report.health.is_degraded() {
-        let h = &report.health;
-        eprintln!(
-            "DEGRADED: {} of {} render jobs failed ({} retried); see the report's Health section",
-            h.jobs_failed, h.jobs_total, h.jobs_retried
-        );
-        if !args.allow_degraded {
-            return ExitCode::FAILURE;
-        }
-    }
-    if baseline_drift || write_failures > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let run = run(&opts, Feed::Batch(dirty), &obs).expect("the batch feed cannot fail");
+    let row = LedgerRow::from_report(&run.report, args.parallelism);
+    write_run(&args, "repro", None, &run, &obs, &row).exit_code(allow_degraded)
 }

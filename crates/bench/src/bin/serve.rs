@@ -31,20 +31,15 @@
 //! prints the response line; it exits nonzero if the response reports
 //! `ok: false`.
 
-use serde::Serialize;
 use st_bench::cli::{self, CliError};
-use st_bench::diff::{diff_metrics, DiffOptions, MetricsDoc};
-use st_bench::ledger::{append_ledger, artifact_hash, ServeLedgerRow};
-use st_bench::{
-    build_analyses_serve, make_warm_renderer, render_report, run_all_observed, StageTimings,
-    SuperviseOptions,
-};
+use st_bench::ledger::{artifact_hash, ServeLedgerRow};
+use st_bench::output::{write_run, ChunkPlan};
+use st_bench::{make_warm_renderer, run, Feed, IngestOptions};
 use st_serve::{
     query_once, session_measurements, ContextService, PartitionSpec, QueryServer, ServeOptions,
 };
 use st_speedtest::wire::ShapedServer;
 use st_speedtest::{run_load, BackoffSchedule, LoadOptions};
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,95 +50,45 @@ const USAGE: &str = "usage: serve [--scale S] [--seed N] [--out DIR] [--parallel
      [--baseline METRICS.json] [--wall-ratio R] [--wall-floor S]\n\
        serve --connect ADDR [--query CMD] [--timeout SECS]";
 
-struct Args {
-    scale: f64,
-    seed: u64,
-    out: PathBuf,
-    parallelism: usize,
-    chunk_rows: usize,
-    seal_rows: usize,
+/// The flags only `serve` has.
+struct ServeArgs {
+    plan: IngestOptions,
     epoch_rows: usize,
     warm: bool,
     port: u16,
     linger: u64,
     wire_sessions: usize,
-    metrics: bool,
-    baseline: Option<PathBuf>,
-    diff_options: DiffOptions,
     connect: Option<String>,
     query: String,
     timeout_s: u64,
 }
 
-fn parse_args() -> Result<Args, CliError> {
-    let mut args = Args {
-        scale: 0.05,
-        seed: 20220707,
-        out: PathBuf::from("serve-out"),
-        parallelism: st_datagen::par::default_parallelism(),
-        chunk_rows: 2048,
-        seal_rows: st_speedtest::DEFAULT_SEAL_ROWS,
-        epoch_rows: st_serve::DEFAULT_EPOCH_ROWS,
-        warm: false,
-        port: 0,
-        linger: 0,
-        wire_sessions: 0,
-        metrics: false,
-        baseline: None,
-        diff_options: DiffOptions::default(),
-        connect: None,
-        query: "status".to_string(),
-        timeout_s: 10,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| cli::next_value(&mut it, name);
-        match flag.as_str() {
-            "--scale" => args.scale = cli::parse_scale("--scale", &value("--scale")?)?,
-            "--seed" => args.seed = cli::parse_u64("--seed", &value("--seed")?)?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--parallelism" => {
-                args.parallelism =
-                    cli::parse_at_least_one("--parallelism", &value("--parallelism")?)?;
-            }
-            "--chunk-rows" => {
-                args.chunk_rows = cli::parse_at_least_one("--chunk-rows", &value("--chunk-rows")?)?;
-            }
-            "--seal-rows" => {
-                args.seal_rows = cli::parse_at_least_one("--seal-rows", &value("--seal-rows")?)?;
-            }
-            "--epoch-rows" => {
-                args.epoch_rows = cli::parse_at_least_one("--epoch-rows", &value("--epoch-rows")?)?;
-            }
-            "--warm" => args.warm = true,
+impl ServeArgs {
+    /// Consume `flag` if it is one of `serve`'s own.
+    fn parse_flag(
+        &mut self,
+        flag: &str,
+        value: &mut dyn FnMut() -> Result<String, CliError>,
+    ) -> Result<bool, CliError> {
+        match flag {
+            "--chunk-rows" => self.plan.chunk_rows = cli::parse_at_least_one(flag, &value()?)?,
+            "--seal-rows" => self.plan.seal_rows = cli::parse_at_least_one(flag, &value()?)?,
+            "--epoch-rows" => self.epoch_rows = cli::parse_at_least_one(flag, &value()?)?,
+            "--warm" => self.warm = true,
             "--port" => {
-                args.port = cli::parse_u64("--port", &value("--port")?)?
+                self.port = cli::parse_u64(flag, &value()?)?
                     .try_into()
                     .map_err(|_| CliError::Usage("--port must fit in 16 bits".into()))?;
             }
-            "--linger" => args.linger = cli::parse_u64("--linger", &value("--linger")?)?,
-            "--wire-sessions" => {
-                args.wire_sessions =
-                    cli::parse_count("--wire-sessions", &value("--wire-sessions")?)?;
-            }
-            "--metrics" => args.metrics = true,
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--wall-ratio" => {
-                args.diff_options.wall_ratio =
-                    cli::parse_float_min("--wall-ratio", &value("--wall-ratio")?, 1.0)?;
-            }
-            "--wall-floor" => {
-                args.diff_options.wall_floor_s =
-                    cli::parse_float_min("--wall-floor", &value("--wall-floor")?, 0.0)?;
-            }
-            "--connect" => args.connect = Some(value("--connect")?),
-            "--query" => args.query = value("--query")?,
-            "--timeout" => args.timeout_s = cli::parse_u64("--timeout", &value("--timeout")?)?,
-            "--help" | "-h" => return Err(CliError::Help(USAGE.into())),
-            other => return Err(CliError::Usage(format!("unknown flag {other}\n{USAGE}"))),
+            "--linger" => self.linger = cli::parse_u64(flag, &value()?)?,
+            "--wire-sessions" => self.wire_sessions = cli::parse_count(flag, &value()?)?,
+            "--connect" => self.connect = Some(value()?),
+            "--query" => self.query = value()?,
+            "--timeout" => self.timeout_s = cli::parse_u64(flag, &value()?)?,
+            _ => return Ok(false),
         }
+        Ok(true)
     }
-    Ok(args)
 }
 
 /// Turn a shorthand query (`status`, `city City-A`, `headline`, ...)
@@ -161,7 +106,7 @@ fn to_request(query: &str) -> String {
     }
 }
 
-fn run_client(args: &Args, addr_raw: &str) -> ExitCode {
+fn run_client(args: &ServeArgs, addr_raw: &str) -> ExitCode {
     let addr: std::net::SocketAddr = match addr_raw.parse() {
         Ok(a) => a,
         Err(e) => {
@@ -184,41 +129,6 @@ fn run_client(args: &Args, addr_raw: &str) -> ExitCode {
         Err(e) => {
             eprintln!("query {addr} failed: {e}");
             ExitCode::FAILURE
-        }
-    }
-}
-
-/// The machine-readable timing record written next to the artifacts.
-#[derive(Serialize)]
-struct BenchRecord {
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    chunk_rows: usize,
-    seal_rows: usize,
-    epoch_rows: usize,
-    timings: StageTimings,
-    ingest_s: f64,
-}
-
-/// The `BENCH_metrics.json` schema, as written by `repro` and `ingest`.
-#[derive(Serialize)]
-struct MetricsRecord {
-    schema: &'static str,
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    deterministic: st_obs::DeterministicMetrics,
-    wall_clock: st_obs::WallClockMetrics,
-}
-
-fn write_file(path: &Path, contents: &str, failures: &mut usize) -> bool {
-    match std::fs::write(path, contents) {
-        Ok(()) => true,
-        Err(e) => {
-            *failures += 1;
-            eprintln!("WARN: cannot write {}: {e}", path.display());
-            false
         }
     }
 }
@@ -255,31 +165,45 @@ fn ingest_wire_sessions(service: &ContextService, sessions: usize, seed: u64) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let mut own = ServeArgs {
+        plan: IngestOptions::default(),
+        epoch_rows: st_serve::DEFAULT_EPOCH_ROWS,
+        warm: false,
+        port: 0,
+        linger: 0,
+        wire_sessions: 0,
+        connect: None,
+        query: "status".to_string(),
+        timeout_s: 10,
+    };
+    let parsed = cli::parse_args(std::env::args().skip(1), USAGE, "serve-out", |flag, value| {
+        own.parse_flag(flag, value)
+    });
+    let args = match parsed {
         Ok(a) => a,
         Err(e) => return e.report(),
     };
-    if let Some(addr) = args.connect.clone() {
-        return run_client(&args, &addr);
+    if let Some(addr) = own.connect.clone() {
+        return run_client(&own, &addr);
     }
+    let plan = own.plan;
 
     eprintln!(
         "serving 4 cities at scale {} (seed {}, parallelism {}, chunks of {}, seal at {}, \
          epoch every {}) ...",
-        args.scale, args.seed, args.parallelism, args.chunk_rows, args.seal_rows, args.epoch_rows
+        args.scale, args.seed, args.parallelism, plan.chunk_rows, plan.seal_rows, own.epoch_rows
     );
-    let t0 = std::time::Instant::now();
     let obs = st_obs::Registry::new();
-    let warm = args.warm.then(|| make_warm_renderer(args.scale, args.seed));
+    let warm = own.warm.then(|| make_warm_renderer(args.scale, args.seed));
     let mut specs: Vec<PartitionSpec> =
         st_datagen::City::all().iter().map(|c| PartitionSpec::city(c.label())).collect();
     specs.push(PartitionSpec::wire());
     let service = Arc::new(ContextService::new(
         specs,
-        ServeOptions { seal_rows: args.seal_rows, epoch_rows: args.epoch_rows, warm },
+        ServeOptions { seal_rows: plan.seal_rows, epoch_rows: own.epoch_rows, warm },
         obs.clone(),
     ));
-    let server = match QueryServer::start(Arc::clone(&service), &format!("127.0.0.1:{}", args.port))
+    let server = match QueryServer::start(Arc::clone(&service), &format!("127.0.0.1:{}", own.port))
     {
         Ok(s) => s,
         Err(e) => {
@@ -289,35 +213,27 @@ fn main() -> ExitCode {
     };
     println!("listening on {}", server.addr());
 
-    if args.wire_sessions > 0 {
-        ingest_wire_sessions(&service, args.wire_sessions, args.seed);
+    if own.wire_sessions > 0 {
+        ingest_wire_sessions(&service, own.wire_sessions, args.seed);
     }
 
-    let (analyses, timings, sanitize, stats) = match build_analyses_serve(
-        args.scale,
-        args.seed,
-        args.parallelism,
-        args.chunk_rows,
-        &service,
-        &obs,
-    ) {
-        Ok(out) => out,
+    let feed = Feed::Service { service: &service, chunk_rows: plan.chunk_rows };
+    let run = match run(&args.run_options(), feed, &obs) {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("serve replay failed: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let r = &run.replay;
     eprintln!(
-        "streamed {} rows in {} chunks ({} segments, {} warm epochs) in {:.1}s; rendering ...",
-        stats.rows, stats.chunks, stats.segments, stats.epochs, stats.ingest_s
+        "streamed {} rows in {} chunks ({} segments, {} warm epochs) in {:.1}s",
+        r.rows, r.chunks, r.segments, r.epochs, r.ingest_s
     );
-
-    let opts = SuperviseOptions { parallelism: args.parallelism, ..SuperviseOptions::default() };
-    let report = run_all_observed(&analyses, args.scale, args.seed, &opts, timings, sanitize, &obs);
-    let claims = st_bench::claims::check_all(&analyses);
 
     // Publish the final epoch before any disk IO: queries arriving from
     // here on see the completed run.
+    let report = &run.report;
     let (hash, files) = artifact_hash(&report.artifacts);
     let tables = report
         .artifacts
@@ -340,169 +256,30 @@ fn main() -> ExitCode {
     };
     eprintln!("published final epoch {final_epoch} (artifact hash {hash:016x})");
 
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("cannot create {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
-    let mut written = 0usize;
-    let mut write_failures = 0usize;
-    for a in &report.artifacts {
-        if let Some(svg) = &a.svg {
-            if write_file(&args.out.join(format!("{}.svg", a.id)), svg, &mut write_failures) {
-                written += 1;
-            }
-        }
-        if write_file(&args.out.join(format!("{}.json", a.id)), &a.json, &mut write_failures) {
-            written += 1;
-        }
-    }
-
-    let bench = BenchRecord {
-        scale: args.scale,
-        seed: args.seed,
-        parallelism: args.parallelism,
-        chunk_rows: args.chunk_rows,
-        seal_rows: args.seal_rows,
-        epoch_rows: args.epoch_rows,
-        timings: report.timings,
-        ingest_s: stats.ingest_s,
-    };
-    let timings_path = args.out.join("BENCH_timings.json");
-    let timings_json = serde_json::to_string_pretty(&bench).expect("timings serialize");
-    if write_file(&timings_path, &timings_json, &mut write_failures) {
-        written += 1;
-        eprintln!("wrote {}", timings_path.display());
-    }
-
-    let snapshot = report.metrics.as_ref().expect("observed run carries metrics");
-    let record = MetricsRecord {
-        schema: snapshot.schema,
-        scale: args.scale,
-        seed: args.seed,
-        parallelism: args.parallelism,
-        deterministic: snapshot.deterministic.clone(),
-        wall_clock: snapshot.wall_clock.clone(),
-    };
-    let metrics_json = serde_json::to_string_pretty(&record).expect("metrics serialize");
-    if args.metrics {
-        let metrics_path = args.out.join("BENCH_metrics.json");
-        if write_file(&metrics_path, &metrics_json, &mut write_failures) {
-            written += 1;
-            eprintln!("wrote {}", metrics_path.display());
-        }
-    }
-
-    let trace_path = args.out.join("BENCH_trace.json");
-    let trace_json = obs.trace().to_chrome_json(&format!(
-        "serve scale={} seed={} chunk_rows={} epoch_rows={}",
-        args.scale, args.seed, args.chunk_rows, args.epoch_rows
-    ));
-    if write_file(&trace_path, &trace_json, &mut write_failures) {
-        written += 1;
-        eprintln!("wrote {}", trace_path.display());
-    }
-
-    let ledger_path = args.out.join("BENCH_ledger.jsonl");
     let row = ServeLedgerRow::from_report(
-        &report,
+        report,
         args.parallelism,
-        args.chunk_rows,
-        args.seal_rows,
-        args.epoch_rows,
-        &stats,
+        plan.chunk_rows,
+        plan.seal_rows,
+        own.epoch_rows,
+        &run.replay,
         final_epoch,
     );
-    match append_ledger(&ledger_path, &row) {
-        Ok(()) => eprintln!("appended serve ledger row to {}", ledger_path.display()),
-        Err(e) => {
-            write_failures += 1;
-            eprintln!("WARN: cannot append to {}: {e}", ledger_path.display());
-        }
-    }
+    let chunk_plan = ChunkPlan { ingest: plan, epoch_rows: Some(own.epoch_rows) };
+    let outcome = write_run(&args, "serve", Some(chunk_plan), &run, &obs, &row);
 
-    let mut md = render_report(&report);
-    md.push_str("\n## Shape claims (paper vs this run)\n\n");
-    md.push_str(&st_bench::claims::render_claims(&claims));
-    let holds = claims.iter().filter(|c| c.holds).count();
-    md.push_str(&format!("\n{holds}/{} claims hold\n", claims.len()));
-    if let Err(e) = std::fs::write(args.out.join("report.md"), &md) {
-        eprintln!("cannot write report: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("{md}");
-
-    let mut baseline_drift = false;
-    if let Some(baseline_path) = &args.baseline {
-        let baseline_text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline_doc = match MetricsDoc::parse(&baseline_text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let current_doc = MetricsDoc::parse(&metrics_json).expect("own snapshot parses");
-        let diff = diff_metrics(&baseline_doc, &current_doc, args.diff_options);
-        println!("{}", diff.render(&baseline_doc, &current_doc));
-        if diff.deterministic_match() {
-            eprintln!(
-                "baseline {}: deterministic metrics match ({} keys)",
-                baseline_path.display(),
-                diff.matched_keys
-            );
-        } else {
-            baseline_drift = true;
-            eprintln!(
-                "BASELINE DRIFT: {} deterministic keys differ from {}",
-                diff.drift.len(),
-                baseline_path.display()
-            );
-        }
-    }
-
-    eprintln!(
-        "generate {:.1}s | stream {:.1}s ({:.0} rows/s) | fit {:.1}s | derive {:.1}s | render {:.1}s",
-        report.timings.generate_s,
-        stats.ingest_s,
-        row.rows_per_s,
-        report.timings.fit_s,
-        report.timings.derive_s,
-        report.timings.render_s
-    );
-    eprintln!("wrote {} files to {} in {:.1?}", written + 1, args.out.display(), t0.elapsed());
-
-    if args.linger > 0 {
+    if own.linger > 0 {
         eprintln!(
             "serving final epoch {} on {} for up to {}s (send {{\"cmd\":\"shutdown\"}} to exit)",
             final_epoch,
             server.addr(),
-            args.linger
+            own.linger
         );
-        if server.wait_shutdown(Duration::from_secs(args.linger)) {
+        if server.wait_shutdown(Duration::from_secs(own.linger)) {
             eprintln!("shutdown requested by a client");
         }
     }
     server.stop();
-
-    if write_failures > 0 {
-        eprintln!("WRITE FAILURES: {write_failures} output files could not be written");
-    }
-    if report.health.is_degraded() {
-        let h = &report.health;
-        eprintln!(
-            "DEGRADED: {} of {} render jobs failed ({} retried); see the report's Health section",
-            h.jobs_failed, h.jobs_total, h.jobs_retried
-        );
-        return ExitCode::FAILURE;
-    }
-    if baseline_drift || write_failures > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    // A degraded replay always fails: no --allow-degraded here.
+    outcome.exit_code(false)
 }

@@ -26,7 +26,7 @@ fn claim(id: &str, paper: &str, measured: String, holds: bool) -> Claim {
 }
 
 /// Evaluate every shape claim against the four generated city analyses
-/// (City-A first, as in [`crate::run_all`]).
+/// (City-A first, as in [`crate::run`]).
 pub fn check_all(analyses: &[CityAnalysis]) -> Vec<Claim> {
     assert_eq!(analyses.len(), 4, "need all four cities");
     let a = &analyses[0];
@@ -218,13 +218,13 @@ pub fn render_claims(claims: &[Claim]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_analyses;
+    use crate::build_analyses_par;
 
     #[test]
     fn all_claims_hold_at_moderate_scale() {
         // The repro binary's default scale: thin per-bin subsets (e.g.
         // tier-4 night tests) need this much data to escape noise.
-        let analyses = build_analyses(0.05, 20220707);
+        let (analyses, _) = build_analyses_par(0.05, 20220707, 1);
         let claims = check_all(&analyses);
         assert!(claims.len() >= 14, "claims evaluated: {}", claims.len());
         let failed: Vec<&Claim> = claims.iter().filter(|c| !c.holds).collect();

@@ -289,7 +289,7 @@ pub struct IngestLedgerRow {
     /// Rows offered to the incremental sanitizer.
     pub rows: u64,
     /// Sealed segments across all stores after freeze.
-    pub segments: usize,
+    pub segments: u64,
     /// FNV-1a hash of the artifact file set, as 16 hex digits —
     /// comparable against batch rows and the pinned golden value.
     pub artifact_hash: String,
@@ -330,7 +330,7 @@ impl IngestLedgerRow {
         parallelism: usize,
         chunk_rows: usize,
         seal_rows: usize,
-        ingest: &crate::IngestStats,
+        ingest: &crate::ReplayStats,
     ) -> IngestLedgerRow {
         let (hash, files) = artifact_hash(&report.artifacts);
         let s = &report.health.sanitize;
@@ -445,7 +445,7 @@ impl ServeLedgerRow {
         chunk_rows: usize,
         seal_rows: usize,
         epoch_rows: usize,
-        stats: &crate::ServeStats,
+        stats: &crate::ReplayStats,
         epochs: u64,
     ) -> ServeLedgerRow {
         let (hash, files) = artifact_hash(&report.artifacts);

@@ -1,54 +1,68 @@
-//! Shared driver used by the `repro` binary and the Criterion benches.
+//! The one stage chain behind `repro`, `ingest`, `serve` and the benches.
 //!
-//! [`run_all`] regenerates every table and figure of the paper at a chosen
-//! scale and returns the artifacts; the binary writes them to disk, the
-//! benches time individual pieces.
+//! Every run regenerates every table and figure of the paper through the
+//! same five stages:
 //!
-//! Every stage has a parallel variant (`build_analyses_par`,
-//! `run_all_par`) built on the deterministic chunked engine of
-//! [`st_datagen::par`]: the report is byte-identical at every
-//! parallelism level, only the wall-clock changes. Per-stage timings are
-//! carried on [`ReproReport::timings`].
+//! ```text
+//! generate → feed → fit → derive → render
+//! ```
 //!
-//! The pipeline is **supervised** end to end (see DESIGN.md §"Fault
-//! taxonomy and supervision contract"):
+//! * **generate** — the four cities' campaigns at the run's scale and
+//!   seed, optionally corrupted by a dirty-record scenario
+//!   ([`st_datagen::faults`]);
+//! * **feed** — how the generated records reach the segmented campaign
+//!   stores. This is the only stage that differs between the binaries,
+//!   selected by a [`Feed`]:
+//!   - [`Feed::Batch`] (`repro`) sanitizes each campaign whole and wraps
+//!     it as one sealed segment;
+//!   - [`Feed::Chunks`] (`ingest`) splits each campaign into
+//!     [`IngestOptions::chunk_rows`]-row chunks and appends them to
+//!     thread-local [`SegmentedStore`]s in a seed-scheduled interleave
+//!     ([`ReplaySchedule`]), sanitizing per chunk and sealing segments as
+//!     the tails fill;
+//!   - [`Feed::Service`] (`serve`) replays the same chunks, in the same
+//!     order, through a running [`ContextService`] and drains it;
+//! * **fit** — [`CityAnalysis::from_stores`] per city;
+//! * **derive** — every store's derived columns, materialized up front;
+//! * **render** — the supervised render jobs (see below).
 //!
-//! * records flow through `st_speedtest::sanitize` before any model is
-//!   fitted — dirty measurements are repaired or quarantined with
-//!   per-reason counters instead of panicking downstream;
-//! * every render job runs under `catch_unwind` with a per-attempt
-//!   deadline and one retry; a job that still fails degrades to a
-//!   placeholder artifact instead of aborting the run;
-//! * [`render_report`] carries a `## Health` section (failed/retried
-//!   jobs, quarantine counts by reason) so degradation is visible, and
-//!   [`RunHealth::is_degraded`] lets the binary exit nonzero on it.
+//! [`run`] drives the whole chain. The benches call its two halves,
+//! [`build_analyses_par`] (generate → derive on the batch feed) and
+//! [`run_all_par`] (render).
 //!
-//! The pipeline is also **observable** (DESIGN.md §"Observability"):
-//! [`build_analyses_observed`] and [`run_all_observed`] thread an
-//! [`st_obs::Registry`] through every stage. Each parallel unit (city,
-//! campaign store, render job) records into its own sub-registry; the
-//! coordinator merges them in fixed city/job order — the same fold as
-//! the sanitize counters — so the deterministic metric class is
-//! byte-identical at every parallelism level. Stage wall-clocks come
-//! from the `generate`/`fit`/`derive`/`render` span tree, which keeps
-//! feeding the same four numbers into [`StageTimings`] for
-//! `BENCH_timings.json`. Observation is read-only: artifacts are
-//! byte-identical with the registry enabled or disabled.
+//! **One output.** Segment boundaries and the chunk interleave are pure
+//! functions of the accepted-row sequence, the seed and the chunk plan,
+//! and the fit consumes gathered, contiguous values, so all three feeds
+//! render byte-identical artifacts at every chunk plan and every
+//! parallelism: the golden-, ingest- and serve-identity suites pin them
+//! to one hash. Parallel units (cities, stores, render jobs) run on
+//! [`st_datagen::par`]-style scoped workers and their results are folded
+//! back in fixed city/job order.
 //!
-//! Finally the pipeline has an **incremental front-end** (DESIGN.md
-//! §"Segmented store"): [`build_analyses_ingest`] replays each
-//! generated campaign into a [`st_speedtest::SegmentedStore`] as a
-//! seed-scheduled stream of [`IngestOptions::chunk_rows`]-row chunks,
-//! sanitizing per chunk and sealing immutable segments as the tail
-//! fills. Segment boundaries are a pure function of the accepted-row
-//! sequence and the seal threshold, so the rendered artifacts are
-//! byte-identical to the batch path for any chunk plan — the
-//! `ingest_identity` test pins the replay to the batch golden hash.
+//! **Supervised** (DESIGN.md §"Fault taxonomy and supervision contract"):
+//! records pass the sanitizer before any model is fitted, and every
+//! render job runs under `catch_unwind` with a per-attempt deadline and
+//! one retry; a job that still fails degrades to a placeholder artifact,
+//! is listed in the report's `## Health` section and makes
+//! [`RunHealth::is_degraded`] true.
+//!
+//! **Observable** (DESIGN.md §"Observability"): every stage records into
+//! an [`st_obs::Registry`]. Each parallel unit records into its own
+//! sub-registry, merged in city/job order, so the deterministic metric
+//! class is byte-identical at every parallelism level. Stage wall-clocks
+//! come from the `generate`/`fit`/`derive`/`render` span tree (plus
+//! `ingest` for the replay feeds) and fill [`StageTimings`]. Observation
+//! is read-only: artifacts are byte-identical with the registry enabled
+//! or [`Registry::disabled`].
+//!
+//! [`output`] writes what a run produced; [`cli`] parses the flags the
+//! binaries share.
 
 pub mod claims;
 pub mod cli;
 pub mod diff;
 pub mod ledger;
+pub mod output;
 
 use serde::Serialize;
 use st_analysis::{
@@ -63,7 +77,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One rendered artifact: an id, markdown/text body, and optional SVG.
 #[derive(Clone)]
@@ -81,7 +95,7 @@ pub struct Artifact {
 /// Wall-clock seconds spent in each repro stage.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct StageTimings {
-    /// Dataset generation + sanitization (four cities).
+    /// Dataset generation (four cities), plus the batch feed.
     pub generate_s: f64,
     /// BST model fitting (four cities).
     pub fit_s: f64,
@@ -127,7 +141,7 @@ impl RunHealth {
     }
 }
 
-/// Everything the repro run produces.
+/// Everything the render stage produces.
 pub struct ReproReport {
     /// The scale the datasets were generated at.
     pub scale: f64,
@@ -141,16 +155,19 @@ pub struct ReproReport {
     pub timings: StageTimings,
     /// Supervision and sanitization outcome.
     pub health: RunHealth,
-    /// Metrics snapshot of the run, when it was driven through
-    /// [`run_all_observed`] with an enabled registry. `None` on the
-    /// plain entry points.
+    /// Metrics snapshot of the run; `None` when it ran against
+    /// [`Registry::disabled`].
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Supervision knobs for [`run_all_supervised`].
+/// The knobs of one run of the stage chain.
 #[derive(Debug, Clone)]
-pub struct SuperviseOptions {
-    /// Worker threads for the render stage.
+pub struct RunOptions {
+    /// Fraction of the paper's campaign sizes to generate.
+    pub scale: f64,
+    /// Master seed of generation, replay schedule and fits.
+    pub seed: u64,
+    /// Worker threads of every stage.
     pub parallelism: usize,
     /// Per-attempt deadline for one render job. A job that neither
     /// returns nor panics within this window is abandoned (its thread is
@@ -167,16 +184,121 @@ pub struct SuperviseOptions {
     pub hang_jobs: Vec<String>,
 }
 
-impl Default for SuperviseOptions {
-    fn default() -> Self {
-        SuperviseOptions {
-            parallelism: 1,
+impl RunOptions {
+    /// A run at `(scale, seed, parallelism)` with a 300 s render deadline
+    /// and no injected faults.
+    pub fn new(scale: f64, seed: u64, parallelism: usize) -> Self {
+        RunOptions {
+            scale,
+            seed,
+            parallelism,
             deadline: Duration::from_secs(300),
             fail_jobs: Vec::new(),
             flaky_jobs: Vec::new(),
             hang_jobs: Vec::new(),
         }
     }
+}
+
+/// How generated records reach the campaign stores — the one stage of
+/// the chain that differs between the binaries.
+pub enum Feed<'a> {
+    /// Sanitize each campaign whole — after corrupting it with the dirty
+    /// scenario, if any — and wrap what survives as one sealed segment.
+    /// Runs inside each city's `generate/<city>` span.
+    Batch(Option<DirtyScenario>),
+    /// Replay seed-scheduled chunks into thread-local stores under an
+    /// `ingest` stage.
+    Chunks(IngestOptions),
+    /// Replay the same chunks through `service` under an `ingest` stage,
+    /// then drain it. `service` must hold one deterministic partition per
+    /// [`City::all`] entry (label-matched) with the `ookla`/`mlab`/`mba`
+    /// campaigns — [`st_serve::PartitionSpec::city`]; extra partitions
+    /// (the wire partition) are frozen by the drain but never fitted.
+    Service {
+        /// The running service.
+        service: &'a ContextService,
+        /// Rows per replayed chunk.
+        chunk_rows: usize,
+    },
+}
+
+/// Knobs of the thread-local chunk replay ([`Feed::Chunks`]).
+#[derive(Debug, Clone, Copy)]
+pub struct IngestOptions {
+    /// Rows per replayed chunk.
+    pub chunk_rows: usize,
+    /// Sealed-segment size threshold of each store's mutable tail.
+    pub seal_rows: usize,
+}
+
+impl Default for IngestOptions {
+    fn default() -> Self {
+        IngestOptions { chunk_rows: 2048, seal_rows: st_speedtest::DEFAULT_SEAL_ROWS }
+    }
+}
+
+/// What a replay feed did, summed over all campaign streams. All zero on
+/// the batch feed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReplayStats {
+    /// Chunks appended across the twelve campaign streams.
+    pub chunks: u64,
+    /// Rows offered to the incremental sanitizer.
+    pub rows: u64,
+    /// Sealed segments across all frozen stores.
+    pub segments: u64,
+    /// Warm epochs the service published while streaming — a pure
+    /// function of the accepted-row total and the epoch size (the final
+    /// epoch adds one more at `publish_final`). Zero on [`Feed::Chunks`].
+    pub epochs: u64,
+    /// Wall-clock seconds of the `ingest` stage (chunks + freeze/drain).
+    pub ingest_s: f64,
+}
+
+/// Everything one run of the chain produces.
+pub struct Run {
+    /// The fitted cities, in [`City::all`] order.
+    pub analyses: Arc<Vec<CityAnalysis>>,
+    /// Artifacts, headlines, timings, health and metrics.
+    pub report: ReproReport,
+    /// What the replay feeds did.
+    pub replay: ReplayStats,
+}
+
+/// Run the whole chain: generate → feed → fit → derive → render. Only
+/// [`Feed::Service`] can fail, when the service rejects a chunk or its
+/// drain fails.
+pub fn run(opts: &RunOptions, feed: Feed<'_>, obs: &Registry) -> Result<Run, ServeError> {
+    let (analyses, timings, sanitize, replay) = build(opts, feed, obs)?;
+    let report = render(&analyses, opts, timings, sanitize, obs);
+    Ok(Run { analyses, report, replay })
+}
+
+/// Generate → derive on the batch feed, unobserved; `render_s` stays 0
+/// until [`run_all_par`]. Output is identical at every parallelism.
+pub fn build_analyses_par(
+    scale: f64,
+    seed: u64,
+    parallelism: usize,
+) -> (Arc<Vec<CityAnalysis>>, StageTimings) {
+    let (analyses, timings, _, _) =
+        build(&RunOptions::new(scale, seed, parallelism), Feed::Batch(None), &Registry::disabled())
+            .expect("the batch feed cannot fail");
+    (analyses, timings)
+}
+
+/// The render stage alone, unobserved and fault-free, on analyses from
+/// [`build_analyses_par`]; fills in `render_s` on `timings`.
+pub fn run_all_par(
+    analyses: &Arc<Vec<CityAnalysis>>,
+    scale: f64,
+    seed: u64,
+    parallelism: usize,
+    timings: StageTimings,
+) -> ReproReport {
+    let opts = RunOptions::new(scale, seed, parallelism);
+    render(analyses, &opts, timings, SanitizeReport::default(), &Registry::disabled())
 }
 
 /// Map `items` through `f` on up to `workers` scoped threads, preserving
@@ -222,218 +344,335 @@ where
     })
 }
 
-fn cdf_artifact(r: &st_analysis::CdfResult) -> Artifact {
-    Artifact {
-        id: r.id.clone(),
-        text: r.render(),
-        svg: Some(r.to_svg()),
-        json: serde_json::to_string_pretty(r).expect("serializable result"),
-    }
+/// Run one top-level stage between its `stage.start`/`stage.end`
+/// lifecycle events, under a span of the same name. Returns the stage's
+/// output and the span's wall-clock seconds.
+fn stage<T>(obs: &Registry, name: &str, f: impl FnOnce() -> T) -> (T, f64) {
+    obs.event("stage.start", "lifecycle", &[("stage", name)]);
+    let span = obs.span(name);
+    let out = f();
+    let secs = span.stop();
+    obs.event("stage.end", "lifecycle", &[("stage", name)]);
+    (out, secs)
 }
 
-fn table_artifact(t: &st_analysis::TableResult) -> Artifact {
-    Artifact {
-        id: t.id.clone(),
-        text: t.render(),
-        svg: None,
-        json: serde_json::to_string_pretty(t).expect("serializable result"),
-    }
+/// The three campaign streams of a city, in store order.
+const CAMPAIGNS: [&str; 3] = ["ookla", "mlab", "mba"];
+
+/// A city's config and its frozen `ookla`/`mlab`/`mba` stores — what
+/// every feed hands to the fit stage.
+type CityStores = (CityConfig, [SegmentedStore; 3]);
+
+/// What [`build`] hands back: the analyses, the stage timings
+/// (`render_s` still 0), the merged sanitize counters and the replay
+/// statistics.
+type Built = (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport, ReplayStats);
+
+/// Generate → feed → fit → derive.
+fn build(opts: &RunOptions, feed: Feed<'_>, obs: &Registry) -> Result<Built, ServeError> {
+    let parallelism = opts.parallelism.max(1);
+    let city_workers = parallelism.min(City::all().len());
+    let (prepared, generate_s, sanitize, replay) = match feed {
+        Feed::Batch(dirty) => {
+            let (fed, generate_s) = generate_stage(opts, dirty, obs, batch_feed);
+            let mut sanitize = SanitizeReport::default();
+            let prepared = fed
+                .into_iter()
+                .map(|(stores, report)| {
+                    sanitize.merge(&report);
+                    stores
+                })
+                .collect();
+            (prepared, generate_s, sanitize, ReplayStats::default())
+        }
+        Feed::Chunks(plan) => {
+            let (datasets, generate_s) = generate_stage(opts, None, obs, |ds, _| ds);
+            let (prepared, sanitize, replay) =
+                chunk_feed(datasets, opts.seed, plan, city_workers, obs);
+            (prepared, generate_s, sanitize, replay)
+        }
+        Feed::Service { service, chunk_rows } => {
+            let (datasets, generate_s) = generate_stage(opts, None, obs, |ds, _| ds);
+            let (prepared, sanitize, replay) =
+                service_feed(datasets, opts.seed, chunk_rows, service, city_workers, obs)?;
+            (prepared, generate_s, sanitize, replay)
+        }
+    };
+    let (analyses, fit_s) = fit_stage(prepared, opts.seed, city_workers, obs);
+    let derive_s = derive_stage(&analyses, parallelism, obs);
+    let timings = StageTimings { generate_s, fit_s, derive_s, render_s: 0.0 };
+    Ok((Arc::new(analyses), timings, sanitize, replay))
 }
 
-fn density_artifact(d: &st_analysis::results::DensityResult) -> Artifact {
-    Artifact {
-        id: d.id.clone(),
-        text: d.render(),
-        svg: Some(d.to_svg()),
-        json: serde_json::to_string_pretty(d).expect("serializable result"),
-    }
+/// Fold each parallel unit's sub-registry into `obs` in unit order — the
+/// fold that keeps the deterministic metric class and the trace order
+/// parallelism-invariant — and return the units' outputs.
+fn merged<T>(obs: &Registry, units: Vec<(T, Registry)>) -> Vec<T> {
+    units
+        .into_iter()
+        .map(|(out, sub)| {
+            obs.merge(&sub);
+            out
+        })
+        .collect()
 }
 
-/// Generate all four cities and fit the per-campaign BST models.
-pub fn build_analyses(scale: f64, seed: u64) -> Arc<Vec<CityAnalysis>> {
-    build_analyses_par(scale, seed, 1).0
-}
-
-/// Like [`build_analyses`], with the four generate jobs and then the four
-/// fit jobs spread over up to `parallelism` worker threads. Leftover
-/// workers parallelize *inside* each city's campaign loops.
-///
-/// Output is identical at every parallelism level; the returned
-/// [`StageTimings`] has the generate and fit wall-clocks filled in
-/// (`render_s` stays 0 until [`run_all_par`]).
-pub fn build_analyses_par(
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-) -> (Arc<Vec<CityAnalysis>>, StageTimings) {
-    let (analyses, timings, _) = build_analyses_sanitized(scale, seed, parallelism, None);
-    (analyses, timings)
-}
-
-/// The fault-tolerant analysis builder: generate the four cities,
-/// optionally corrupt the campaigns with `dirty` (ground-truth labeled
-/// dirty records, see [`st_datagen::faults`]), run every record through
-/// the sanitizer, and fit BST on what survives.
-///
-/// The sanitize counters are merged across cities in city order, so the
-/// returned [`SanitizeReport`] — like the datasets themselves — is
-/// identical at every parallelism level.
-pub fn build_analyses_sanitized(
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    dirty: Option<&DirtyScenario>,
-) -> (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport) {
-    build_analyses_observed(scale, seed, parallelism, dirty, &Registry::disabled())
-}
-
-/// Like [`build_analyses_sanitized`], recording pipeline metrics and
-/// stage spans into `obs` (see DESIGN.md §"Observability").
-///
-/// Each city runs against its own sub-registry inside the worker
-/// closure; the coordinator merges the four sub-registries **in city
-/// order** — exactly how the [`SanitizeReport`]s are folded — so every
-/// deterministic metric (record counts, quarantine tallies, EM
-/// iterations, KDE grid evaluations, ...) is byte-identical at every
-/// parallelism level. Wall-clock spans (`generate`, `fit`, `derive`,
-/// plus one child per city) are recorded too but excluded from that
-/// contract.
-///
-/// Observation is read-only: the returned analyses are byte-identical
-/// whether `obs` is enabled or [`Registry::disabled`].
-pub fn build_analyses_observed(
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    dirty: Option<&DirtyScenario>,
+/// The generate stage: each city's campaigns are generated (and
+/// corrupted by `dirty`, if any) and observed on the city's own
+/// sub-registry inside a `generate/<city>` span, then handed to `then`
+/// within the same span — the batch feed runs there.
+fn generate_stage<T: Send>(
+    opts: &RunOptions,
+    dirty: Option<DirtyScenario>,
     obs: &Registry,
-) -> (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport) {
-    let parallelism = parallelism.max(1);
+    then: impl Fn(CityDataset, &Registry) -> T + Sync,
+) -> (Vec<T>, f64) {
+    let parallelism = opts.parallelism.max(1);
     let cities = City::all();
     let city_workers = parallelism.min(cities.len());
     // Workers beyond one-per-city go into each city's chunked loops.
     let inner = parallelism.div_ceil(city_workers);
-    let dirty = dirty.copied();
-
-    obs.event("stage.start", "lifecycle", &[("stage", "generate")]);
-    let gen_span = obs.span("generate");
-    let prepared = par_map(cities.to_vec(), city_workers, |_, city| {
-        let sub = obs.sub();
-        let city_span = sub.span(&format!("generate/{}", city.label()));
-        let mut ds = CityDataset::generate_with_parallelism(city, scale, seed, inner);
-        let dirty_labels = dirty.as_ref().map(|scenario| ds.inject_dirty(scenario, seed));
-        ds.observe(&sub);
-        if let Some(labels) = &dirty_labels {
-            ds.observe_dirty(&sub, labels);
-        }
-        let city_label = ds.config.city.label();
-        let mut report = SanitizeReport::default();
-        for (campaign, records) in
-            [("ookla", &mut ds.ookla), ("mlab", &mut ds.mlab), ("mba", &mut ds.mba)]
-        {
-            let (kept, r) = sanitize(std::mem::take(records));
-            *records = kept;
-            r.record(&sub, &[("campaign", campaign), ("city", city_label)]);
-            report.merge(&r);
-        }
-        city_span.stop();
-        (ds, report, sub)
+    let (generated, generate_s) = stage(obs, "generate", || {
+        par_map(cities.to_vec(), city_workers, |_, city| {
+            let sub = obs.sub();
+            let city_span = sub.span(&format!("generate/{}", city.label()));
+            let mut ds = CityDataset::generate_with_parallelism(city, opts.scale, opts.seed, inner);
+            let dirty_labels = dirty.as_ref().map(|scenario| ds.inject_dirty(scenario, opts.seed));
+            ds.observe(&sub);
+            if let Some(labels) = &dirty_labels {
+                ds.observe_dirty(&sub, labels);
+            }
+            let out = then(ds, &sub);
+            city_span.stop();
+            (out, sub)
+        })
     });
-    let generate_s = gen_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "generate")]);
-
-    let mut sanitize_total = SanitizeReport::default();
-    let mut datasets: Vec<CityDataset> = Vec::with_capacity(prepared.len());
-    for (ds, report, sub) in prepared {
-        sanitize_total.merge(&report);
-        obs.merge(&sub);
-        datasets.push(ds);
-    }
-
-    obs.event("stage.start", "lifecycle", &[("stage", "fit")]);
-    let fit_span = obs.span("fit");
-    let fitted = par_map(datasets, city_workers, |_, ds| {
-        let sub = obs.sub();
-        let city_span = sub.span(&format!("fit/{}", ds.config.city.label()));
-        let analysis = CityAnalysis::new_observed(ds, seed ^ 0x5eed, &sub);
-        city_span.stop();
-        (analysis, sub)
-    });
-    let fit_s = fit_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "fit")]);
-    let mut analyses: Vec<CityAnalysis> = Vec::with_capacity(fitted.len());
-    for (analysis, sub) in fitted {
-        obs.merge(&sub);
-        analyses.push(analysis);
-    }
-
-    let derive_s = derive_stage(&analyses, parallelism, obs);
-
-    (
-        Arc::new(analyses),
-        StageTimings { generate_s, fit_s, derive_s, render_s: 0.0 },
-        sanitize_total,
-    )
+    (merged(obs, generated), generate_s)
 }
 
-/// The derive stage shared by the batch and ingest builders: materialize
-/// every store's lazy derived columns up front so the render jobs only
-/// ever read memoized slices. Each column is a pure function of the base
-/// columns, so building them in parallel (one job per campaign, city
-/// order preserved by `par_map`) cannot change their contents.
-fn derive_stage(analyses: &[CityAnalysis], parallelism: usize, obs: &Registry) -> f64 {
-    obs.event("stage.start", "lifecycle", &[("stage", "derive")]);
-    let derive_span = obs.span("derive");
-    let stores: Vec<(&str, &str, &st_speedtest::SegmentedStore)> = analyses
-        .iter()
-        .flat_map(|a| {
-            let city = a.config.city.label();
-            [("ookla", city, &a.ookla), ("mlab", city, &a.mlab), ("mba", city, &a.mba)]
+/// The batch feed ([`Feed::Batch`]): sanitize every campaign whole,
+/// recording its `sanitize.*` counters, and wrap what survives as one
+/// sealed segment.
+fn batch_feed(ds: CityDataset, sub: &Registry) -> (CityStores, SanitizeReport) {
+    let city = ds.config.city.label();
+    let CityDataset { config, ookla, mlab, mba, .. } = ds;
+    let mut report = SanitizeReport::default();
+    let stores = [("ookla", ookla), ("mlab", mlab), ("mba", mba)].map(|(campaign, records)| {
+        let (kept, r) = sanitize(records);
+        r.record(sub, &[("campaign", campaign), ("city", city)]);
+        report.merge(&r);
+        SegmentedStore::from_measurements(&kept)
+    });
+    ((config, stores), report)
+}
+
+/// The replay loop both chunk feeds share: split the city's campaigns
+/// into `chunk_rows`-row chunks and offer them to `sink`, with the
+/// campaign's index into [`CAMPAIGNS`], in the city's [`ReplaySchedule`]
+/// order. `sink` returns the rows it was offered.
+fn replay_city<E>(
+    ds: CityDataset,
+    seed: u64,
+    city_index: usize,
+    chunk_rows: usize,
+    mut sink: impl FnMut(usize, Vec<Measurement>) -> Result<usize, E>,
+) -> Result<(CityConfig, ReplayStats), E> {
+    let CityDataset { config, ookla, mlab, mba, .. } = ds;
+    let mut queues = [ookla, mlab, mba].map(|records| split_chunks(records, chunk_rows));
+    let mut sched = ReplaySchedule::new(seed, city_index);
+    let mut stats = ReplayStats::default();
+    loop {
+        let live: Vec<usize> = (0..queues.len()).filter(|&k| !queues[k].is_empty()).collect();
+        if live.is_empty() {
+            return Ok((config, stats));
+        }
+        let k = live[sched.pick(live.len())];
+        let chunk = queues[k].pop_front().expect("stream is live");
+        stats.rows += sink(k, chunk)? as u64;
+        stats.chunks += 1;
+    }
+}
+
+/// Per-chunk ingest latency buckets, seconds (wall-clock class).
+const INGEST_CHUNK_BOUNDS: &[f64] =
+    &[0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1.0];
+
+/// The thread-local replay feed ([`Feed::Chunks`]) under the `ingest`
+/// stage. Each city replays into its own builder stores on its own
+/// sub-registry (`ingest/<city>` span, per-chunk `ingest.*` metrics),
+/// then freezes them and records their `sanitize.*` counters.
+fn chunk_feed(
+    datasets: Vec<CityDataset>,
+    seed: u64,
+    plan: IngestOptions,
+    city_workers: usize,
+    obs: &Registry,
+) -> (Vec<CityStores>, SanitizeReport, ReplayStats) {
+    let (ingested, ingest_s) = stage(obs, "ingest", || {
+        par_map(datasets, city_workers, |ci, ds| {
+            let sub = obs.sub();
+            let city = ds.config.city.label();
+            let city_span = sub.span(&format!("ingest/{city}"));
+            let mut stores = CAMPAIGNS.map(|_| SegmentedStore::builder(plan.seal_rows));
+            let Ok((config, mut stats)) = replay_city(ds, seed, ci, plan.chunk_rows, |k, chunk| {
+                let t0 = Instant::now();
+                let cs =
+                    stores[k].append_chunk(chunk).expect("tail stores accept chunks until frozen");
+                let elapsed = t0.elapsed().as_secs_f64();
+                sub.observe_wall(
+                    "ingest.chunk_seconds",
+                    &[("city", city)],
+                    elapsed,
+                    INGEST_CHUNK_BOUNDS,
+                );
+                sub.inc("ingest.chunks", &[("campaign", CAMPAIGNS[k]), ("city", city)]);
+                for (outcome, n) in [
+                    ("clean", cs.clean),
+                    ("repaired", cs.repaired),
+                    ("quarantined", cs.quarantined),
+                ] {
+                    sub.add("ingest.rows", &[("outcome", outcome)], n);
+                }
+                Ok::<_, std::convert::Infallible>(cs.rows_in)
+            });
+            let mut report = SanitizeReport::default();
+            for (campaign, store) in CAMPAIGNS.into_iter().zip(&mut stores) {
+                store.freeze().expect("ingest freezes each store exactly once");
+                store.report().record(&sub, &[("campaign", campaign), ("city", city)]);
+                report.merge(store.report());
+                stats.segments += store.num_segments() as u64;
+            }
+            city_span.stop();
+            (((config, stores), report, stats), sub)
+        })
+    });
+    let mut sanitize = SanitizeReport::default();
+    let mut replay = ReplayStats { ingest_s, ..ReplayStats::default() };
+    let prepared = merged(obs, ingested)
+        .into_iter()
+        .map(|(stores, report, stats)| {
+            sanitize.merge(&report);
+            replay.chunks += stats.chunks;
+            replay.rows += stats.rows;
+            replay.segments += stats.segments;
+            stores
         })
         .collect();
-    let subs = par_map(stores, parallelism, |_, (campaign, city, store)| {
-        let sub = obs.sub();
-        store.materialize_derived();
-        store.observe(&sub, &[("campaign", campaign), ("city", city)]);
-        sub
+    (prepared, sanitize, replay)
+}
+
+/// The service replay feed ([`Feed::Service`]) under the `ingest` stage:
+/// every city streams its chunks through `service`, which records its
+/// own `serve.*` metrics, and the service is drained within the stage.
+/// The deterministic partitions' `sanitize.*` counters are then recorded
+/// in partition order, as the chunk feed records them at freeze;
+/// wire-partition rows stay out of the deterministic metric class
+/// (DESIGN.md §18).
+fn service_feed(
+    datasets: Vec<CityDataset>,
+    seed: u64,
+    chunk_rows: usize,
+    service: &ContextService,
+    city_workers: usize,
+    obs: &Registry,
+) -> Result<(Vec<CityStores>, SanitizeReport, ReplayStats), ServeError> {
+    let (streamed, ingest_s) = stage(obs, "ingest", || -> Result<_, ServeError> {
+        let streamed = par_map(datasets, city_workers, |ci, ds| {
+            let city = ds.config.city.label();
+            replay_city(ds, seed, ci, chunk_rows, |k, chunk| {
+                service.ingest_chunk(city, CAMPAIGNS[k], chunk).map(|r| r.stats.rows_in)
+            })
+        });
+        let streamed = streamed.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok((streamed, service.drain()?))
     });
-    let derive_s = derive_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "derive")]);
-    for sub in &subs {
-        obs.merge(sub);
+    let (streamed, drained) = streamed?;
+    let mut replay = ReplayStats {
+        segments: drained.segments,
+        epochs: service.current_epoch().epoch,
+        ingest_s,
+        ..ReplayStats::default()
+    };
+
+    let mut sanitize = SanitizeReport::default();
+    let mut by_city = std::collections::BTreeMap::new();
+    for part in drained.partitions.into_iter().filter(|p| p.deterministic) {
+        for (campaign, store) in &part.stores {
+            store.report().record(obs, &[("campaign", campaign), ("city", &part.city)]);
+            sanitize.merge(store.report());
+        }
+        by_city.insert(part.city, part.stores);
     }
+    let mut prepared = Vec::with_capacity(streamed.len());
+    for (config, stats) in streamed {
+        replay.chunks += stats.chunks;
+        replay.rows += stats.rows;
+        let city = config.city.label();
+        let mut stores =
+            by_city.remove(city).ok_or_else(|| ServeError::UnknownCity(city.to_string()))?;
+        let mut take = |campaign: &str| -> Result<SegmentedStore, ServeError> {
+            let i = stores.iter().position(|(c, _)| c == campaign).ok_or_else(|| {
+                ServeError::UnknownCampaign {
+                    city: city.to_string(),
+                    campaign: campaign.to_string(),
+                }
+            })?;
+            Ok(stores.swap_remove(i).1)
+        };
+        let stores = [take("ookla")?, take("mlab")?, take("mba")?];
+        prepared.push((config, stores));
+    }
+    Ok((prepared, sanitize, replay))
+}
+
+/// The fit stage: one [`CityAnalysis::from_stores`] per city, each on its
+/// own sub-registry, with the fit seed `seed ^ 0x5eed`. Every feed ends
+/// here, which is what lets the identity suites claim the ingest and
+/// service fits *are* the batch fit.
+fn fit_stage(
+    prepared: Vec<CityStores>,
+    seed: u64,
+    city_workers: usize,
+    obs: &Registry,
+) -> (Vec<CityAnalysis>, f64) {
+    let (fitted, fit_s) = stage(obs, "fit", || {
+        par_map(prepared, city_workers, |_, (config, [ookla, mlab, mba])| {
+            let sub = obs.sub();
+            let city_span = sub.span(&format!("fit/{}", config.city.label()));
+            let analysis = CityAnalysis::from_stores(config, ookla, mlab, mba, seed ^ 0x5eed, &sub);
+            city_span.stop();
+            (analysis, sub)
+        })
+    });
+    (merged(obs, fitted), fit_s)
+}
+
+/// The derive stage: materialize every store's lazy derived columns up
+/// front so the render jobs only ever read memoized slices. Each column
+/// is a pure function of the base columns, so building them in parallel
+/// (one job per campaign, city order preserved by `par_map`) cannot
+/// change their contents.
+fn derive_stage(analyses: &[CityAnalysis], parallelism: usize, obs: &Registry) -> f64 {
+    let (subs, derive_s) = stage(obs, "derive", || {
+        let stores: Vec<(&str, &str, &SegmentedStore)> = analyses
+            .iter()
+            .flat_map(|a| {
+                let city = a.config.city.label();
+                [("ookla", city, &a.ookla), ("mlab", city, &a.mlab), ("mba", city, &a.mba)]
+            })
+            .collect();
+        par_map(stores, parallelism, |_, (campaign, city, store)| {
+            let sub = obs.sub();
+            store.materialize_derived();
+            store.observe(&sub, &[("campaign", campaign), ("city", city)]);
+            ((), sub)
+        })
+    });
+    merged(obs, subs);
     derive_s
 }
 
-/// Knobs of the incremental ingest front-end ([`build_analyses_ingest`]).
-#[derive(Debug, Clone, Copy)]
-pub struct IngestOptions {
-    /// Rows per replayed chunk.
-    pub chunk_rows: usize,
-    /// Sealed-segment size threshold of each store's mutable tail.
-    pub seal_rows: usize,
-}
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions { chunk_rows: 2048, seal_rows: st_speedtest::DEFAULT_SEAL_ROWS }
-    }
-}
-
-/// What the ingest stage did, summed over all campaign streams.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct IngestStats {
-    /// Chunks appended across the twelve campaign streams.
-    pub chunks: u64,
-    /// Rows offered to the incremental sanitizer.
-    pub rows: u64,
-    /// Sealed segments across all stores after `freeze`.
-    pub segments: usize,
-    /// Wall-clock seconds of the ingest stage.
-    pub ingest_s: f64,
-}
-
-/// SplitMix64 step — the ingest scheduler's whole PRNG. Keeping it local
+/// SplitMix64 step — the replay scheduler's whole PRNG. Keeping it local
 /// (rather than an `StdRng`) pins the chunk interleave to a documented
 /// three-line recurrence that cannot drift under a rand upgrade.
 pub fn splitmix64(state: &mut u64) -> u64 {
@@ -445,8 +684,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Split one campaign's records into `chunk_rows`-row chunks, preserving
-/// stream order. Shared by the `ingest` replay and the serve replay so
-/// both front-ends see the exact same chunk plan.
+/// stream order — the chunk plan of both replay feeds.
 pub fn split_chunks(records: Vec<Measurement>, chunk_rows: usize) -> VecDeque<Vec<Measurement>> {
     assert!(chunk_rows > 0, "chunk_rows must be >= 1");
     let mut chunks = VecDeque::new();
@@ -462,10 +700,9 @@ pub fn split_chunks(records: Vec<Measurement>, chunk_rows: usize) -> VecDeque<Ve
 
 /// The seed-scheduled chunk interleave of one city's campaign streams —
 /// a pure function of `(seed, city index, pick sequence)`; worker
-/// interleaving and wall-clock never feed into it. Both the `ingest`
-/// replay and the serve replay draw from this schedule, which is what
-/// makes their accepted-row sequences (and therefore the fitted models)
-/// identical.
+/// interleaving and wall-clock never feed into it. Both replay feeds
+/// draw from this schedule, which is what makes their accepted-row
+/// sequences (and therefore the fitted models) identical.
 #[derive(Debug, Clone)]
 pub struct ReplaySchedule {
     state: u64,
@@ -482,200 +719,6 @@ impl ReplaySchedule {
         assert!(live > 0, "pick needs a live stream");
         (splitmix64(&mut self.state) % live as u64) as usize
     }
-}
-
-/// Per-chunk ingest latency buckets, seconds (wall-clock class).
-const INGEST_CHUNK_BOUNDS: &[f64] =
-    &[0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1.0];
-
-/// Like [`build_analyses_observed`] on a pristine generator, but the
-/// campaigns are *replayed* into [`st_speedtest::SegmentedStore`]s as
-/// chunk streams instead of being wrapped wholesale: each city's three
-/// campaigns are split into `chunk_rows`-row chunks and appended in a
-/// seed-scheduled interleave (SplitMix64 over the live streams), running
-/// the sanitizer incrementally per chunk and sealing immutable segments
-/// every `seal_rows` accepted rows.
-///
-/// Chunking never reorders a store's own stream and the interleave is a
-/// pure function of `(seed, city, chunk plan)`, so the frozen stores hold
-/// exactly the accepted rows of the batch path and the fits — which
-/// consume gathered, contiguous values — are bit-identical: the rendered
-/// artifacts match the batch pipeline byte for byte at any `chunk_rows`,
-/// any `seal_rows`, and any `parallelism`.
-pub fn build_analyses_ingest(
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    opts: IngestOptions,
-    obs: &Registry,
-) -> (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport, IngestStats) {
-    assert!(opts.chunk_rows > 0, "chunk_rows must be >= 1");
-    let parallelism = parallelism.max(1);
-    let cities = City::all();
-    let city_workers = parallelism.min(cities.len());
-    let inner = parallelism.div_ceil(city_workers);
-
-    obs.event("stage.start", "lifecycle", &[("stage", "generate")]);
-    let gen_span = obs.span("generate");
-    let generated = par_map(cities.to_vec(), city_workers, |_, city| {
-        let sub = obs.sub();
-        let city_span = sub.span(&format!("generate/{}", city.label()));
-        let ds = CityDataset::generate_with_parallelism(city, scale, seed, inner);
-        ds.observe(&sub);
-        city_span.stop();
-        (ds, sub)
-    });
-    let generate_s = gen_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "generate")]);
-    let mut datasets = Vec::with_capacity(generated.len());
-    for (ds, sub) in generated {
-        obs.merge(&sub);
-        datasets.push(ds);
-    }
-
-    obs.event("stage.start", "lifecycle", &[("stage", "ingest")]);
-    let ingest_span = obs.span("ingest");
-    let ingested = par_map(datasets, city_workers, |ci, ds| {
-        let sub = obs.sub();
-        let city = ds.config.city.label();
-        let city_span = sub.span(&format!("ingest/{city}"));
-        let CityDataset { config, ookla, mlab, mba, .. } = ds;
-
-        let mut streams = [
-            (
-                "ookla",
-                split_chunks(ookla, opts.chunk_rows),
-                SegmentedStore::builder(opts.seal_rows),
-            ),
-            ("mlab", split_chunks(mlab, opts.chunk_rows), SegmentedStore::builder(opts.seal_rows)),
-            ("mba", split_chunks(mba, opts.chunk_rows), SegmentedStore::builder(opts.seal_rows)),
-        ];
-
-        // The schedule is a pure function of (seed, city index, chunk
-        // plan); worker interleaving and wall-clock never feed into it.
-        let mut sched = ReplaySchedule::new(seed, ci);
-        let mut stats = IngestStats::default();
-        loop {
-            let live: Vec<usize> =
-                (0..streams.len()).filter(|&k| !streams[k].1.is_empty()).collect();
-            if live.is_empty() {
-                break;
-            }
-            let k = live[sched.pick(live.len())];
-            let (campaign, queue, store) = &mut streams[k];
-            let chunk = queue.pop_front().expect("stream is live");
-            let t0 = std::time::Instant::now();
-            let cs = store.append_chunk(chunk).expect("tail stores accept chunks until frozen");
-            sub.observe_wall(
-                "ingest.chunk_seconds",
-                &[("city", city)],
-                t0.elapsed().as_secs_f64(),
-                INGEST_CHUNK_BOUNDS,
-            );
-            sub.inc("ingest.chunks", &[("campaign", campaign), ("city", city)]);
-            for (outcome, n) in
-                [("clean", cs.clean), ("repaired", cs.repaired), ("quarantined", cs.quarantined)]
-            {
-                sub.add("ingest.rows", &[("outcome", outcome)], n);
-            }
-            stats.chunks += 1;
-            stats.rows += cs.rows_in as u64;
-        }
-
-        let mut report = SanitizeReport::default();
-        let mut stores = Vec::with_capacity(streams.len());
-        for (campaign, _, mut store) in streams {
-            store.freeze().expect("ingest freezes each store exactly once");
-            store.report().record(&sub, &[("campaign", campaign), ("city", city)]);
-            report.merge(store.report());
-            stats.segments += store.num_segments();
-            stores.push(store);
-        }
-        city_span.stop();
-        (config, stores, report, stats, sub)
-    });
-    let ingest_s = ingest_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "ingest")]);
-
-    let mut sanitize_total = SanitizeReport::default();
-    let mut stats_total = IngestStats { ingest_s, ..IngestStats::default() };
-    let mut prepared = Vec::with_capacity(ingested.len());
-    for (config, stores, report, stats, sub) in ingested {
-        obs.merge(&sub);
-        sanitize_total.merge(&report);
-        stats_total.chunks += stats.chunks;
-        stats_total.rows += stats.rows;
-        stats_total.segments += stats.segments;
-        prepared.push((config, stores));
-    }
-
-    let prepared = prepared
-        .into_iter()
-        .map(|(config, mut stores)| {
-            let mba = stores.pop().expect("three campaign stores");
-            let mlab = stores.pop().expect("three campaign stores");
-            let ookla = stores.pop().expect("three campaign stores");
-            (config, ookla, mlab, mba)
-        })
-        .collect();
-    let (analyses, fit_s) = fit_stage(prepared, seed, city_workers, obs);
-
-    let derive_s = derive_stage(&analyses, parallelism, obs);
-
-    (
-        Arc::new(analyses),
-        StageTimings { generate_s, fit_s, derive_s, render_s: 0.0 },
-        sanitize_total,
-        stats_total,
-    )
-}
-
-/// The fit stage shared by the `ingest` replay and the serve replay:
-/// one [`CityAnalysis::from_stores`] per city (each against its own
-/// sub-registry, merged back in city order) with the batch fit seed
-/// derivation (`seed ^ 0x5eed`). Keeping this a single function is what
-/// lets the serve-identity suite claim the service's final fit *is* the
-/// batch fit.
-fn fit_stage(
-    prepared: Vec<(CityConfig, SegmentedStore, SegmentedStore, SegmentedStore)>,
-    seed: u64,
-    city_workers: usize,
-    obs: &Registry,
-) -> (Vec<CityAnalysis>, f64) {
-    obs.event("stage.start", "lifecycle", &[("stage", "fit")]);
-    let fit_span = obs.span("fit");
-    let fitted = par_map(prepared, city_workers, |_, (config, ookla, mlab, mba)| {
-        let sub = obs.sub();
-        let city_span = sub.span(&format!("fit/{}", config.city.label()));
-        let analysis = CityAnalysis::from_stores(config, ookla, mlab, mba, seed ^ 0x5eed, &sub);
-        city_span.stop();
-        (analysis, sub)
-    });
-    let fit_s = fit_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "fit")]);
-    let mut analyses: Vec<CityAnalysis> = Vec::with_capacity(fitted.len());
-    for (analysis, sub) in fitted {
-        obs.merge(&sub);
-        analyses.push(analysis);
-    }
-    (analyses, fit_s)
-}
-
-/// What the serve replay did, summed over all campaign streams.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct ServeStats {
-    /// Chunks streamed into the service.
-    pub chunks: u64,
-    /// Rows offered to the incremental sanitizer.
-    pub rows: u64,
-    /// Sealed segments across all frozen stores after drain.
-    pub segments: u64,
-    /// Warm epochs published while streaming — a pure function of the
-    /// accepted-row total and the epoch size (the final epoch adds one
-    /// more at `publish_final`).
-    pub epochs: u64,
-    /// Wall-clock seconds of the streaming stage (chunks + drain).
-    pub ingest_s: f64,
 }
 
 /// The warm-analysis renderer the `serve` binary injects into
@@ -715,153 +758,31 @@ pub fn make_warm_renderer(scale: f64, seed: u64) -> WarmRenderer {
     })
 }
 
-/// What the serve replay hands back: the fitted analyses, stage
-/// timings, the deterministic-partition sanitize totals, and the
-/// stream statistics for the ledger row.
-pub type ServeBuildOutput = (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport, ServeStats);
-
-/// Like [`build_analyses_ingest`], but the chunk stream flows through a
-/// running [`ContextService`] instead of thread-local stores: the same
-/// generated campaigns, the same [`split_chunks`] plan, the same
-/// [`ReplaySchedule`] interleave — only the appends go through the
-/// service's sharded ingest path (incremental sanitize, segment
-/// sealing, epoch publication). After the streams run dry the service
-/// is drained and the frozen stores flow through the shared
-/// [`fit_stage`] and derive stage, so the final analyses are the batch
-/// analyses byte for byte.
-///
-/// `service` must have one deterministic partition per generated city
-/// (label-matched) with the standard `ookla`/`mlab`/`mba` campaigns —
-/// [`st_serve::PartitionSpec::city`] per [`City::all`] entry. Extra
-/// partitions (e.g. the wire partition) are left untouched by the
-/// replay but are frozen by the drain like everything else.
-///
-/// The returned [`SanitizeReport`] covers the deterministic partitions
-/// only; their per-campaign `sanitize.*` counters are recorded into
-/// `obs` in partition order after the drain, mirroring the ingest
-/// path's freeze-time recording. Wire-partition rows stay out of the
-/// deterministic metric class entirely (DESIGN.md §18).
-pub fn build_analyses_serve(
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    chunk_rows: usize,
-    service: &ContextService,
-    obs: &Registry,
-) -> Result<ServeBuildOutput, ServeError> {
-    assert!(chunk_rows > 0, "chunk_rows must be >= 1");
-    let parallelism = parallelism.max(1);
-    let cities = City::all();
-    let city_workers = parallelism.min(cities.len());
-    let inner = parallelism.div_ceil(city_workers);
-
-    obs.event("stage.start", "lifecycle", &[("stage", "generate")]);
-    let gen_span = obs.span("generate");
-    let generated = par_map(cities.to_vec(), city_workers, |_, city| {
-        let sub = obs.sub();
-        let city_span = sub.span(&format!("generate/{}", city.label()));
-        let ds = CityDataset::generate_with_parallelism(city, scale, seed, inner);
-        ds.observe(&sub);
-        city_span.stop();
-        (ds, sub)
-    });
-    let generate_s = gen_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "generate")]);
-    let mut datasets = Vec::with_capacity(generated.len());
-    for (ds, sub) in generated {
-        obs.merge(&sub);
-        datasets.push(ds);
+fn cdf_artifact(r: &st_analysis::CdfResult) -> Artifact {
+    Artifact {
+        id: r.id.clone(),
+        text: r.render(),
+        svg: Some(r.to_svg()),
+        json: serde_json::to_string_pretty(r).expect("serializable result"),
     }
+}
 
-    obs.event("stage.start", "lifecycle", &[("stage", "ingest")]);
-    let ingest_span = obs.span("ingest");
-    let streamed = par_map(datasets, city_workers, |ci, ds| {
-        let city = ds.config.city.label();
-        let CityDataset { config, ookla, mlab, mba, .. } = ds;
-        let mut streams = [
-            ("ookla", split_chunks(ookla, chunk_rows)),
-            ("mlab", split_chunks(mlab, chunk_rows)),
-            ("mba", split_chunks(mba, chunk_rows)),
-        ];
-        let mut sched = ReplaySchedule::new(seed, ci);
-        let mut stats = ServeStats::default();
-        loop {
-            let live: Vec<usize> =
-                (0..streams.len()).filter(|&k| !streams[k].1.is_empty()).collect();
-            if live.is_empty() {
-                break;
-            }
-            let (campaign, queue) = &mut streams[live[sched.pick(live.len())]];
-            let chunk = queue.pop_front().expect("stream is live");
-            match service.ingest_chunk(city, campaign, chunk) {
-                Ok(receipt) => {
-                    stats.chunks += 1;
-                    stats.rows += receipt.stats.rows_in as u64;
-                }
-                Err(e) => return (config, stats, Some(e)),
-            }
-        }
-        (config, stats, None)
-    });
-    let mut stats_total = ServeStats::default();
-    let mut configs = Vec::with_capacity(streamed.len());
-    for (config, stats, err) in streamed {
-        if let Some(e) = err {
-            return Err(e);
-        }
-        stats_total.chunks += stats.chunks;
-        stats_total.rows += stats.rows;
-        configs.push(config);
+fn table_artifact(t: &st_analysis::TableResult) -> Artifact {
+    Artifact {
+        id: t.id.clone(),
+        text: t.render(),
+        svg: None,
+        json: serde_json::to_string_pretty(t).expect("serializable result"),
     }
+}
 
-    let drained = service.drain()?;
-    stats_total.ingest_s = ingest_span.stop();
-    obs.event("stage.end", "lifecycle", &[("stage", "ingest")]);
-    stats_total.segments = drained.segments;
-    stats_total.epochs = service.current_epoch().epoch;
-
-    // Post-drain, partition order: record the deterministic partitions'
-    // sanitize taxonomy exactly like the ingest path does at freeze.
-    let mut sanitize_total = SanitizeReport::default();
-    let mut by_city: std::collections::BTreeMap<String, Vec<(String, SegmentedStore)>> =
-        std::collections::BTreeMap::new();
-    for part in drained.partitions {
-        if !part.deterministic {
-            continue;
-        }
-        for (campaign, store) in &part.stores {
-            store.report().record(obs, &[("campaign", campaign), ("city", &part.city)]);
-            sanitize_total.merge(store.report());
-        }
-        by_city.insert(part.city, part.stores);
+fn density_artifact(d: &st_analysis::results::DensityResult) -> Artifact {
+    Artifact {
+        id: d.id.clone(),
+        text: d.render(),
+        svg: Some(d.to_svg()),
+        json: serde_json::to_string_pretty(d).expect("serializable result"),
     }
-
-    let mut prepared = Vec::with_capacity(configs.len());
-    for config in configs {
-        let label = config.city.label();
-        let stores =
-            by_city.remove(label).ok_or_else(|| ServeError::UnknownCity(label.to_string()))?;
-        let mut map: std::collections::BTreeMap<String, SegmentedStore> =
-            stores.into_iter().collect();
-        let mut take = |name: &str| {
-            map.remove(name).ok_or_else(|| ServeError::UnknownCampaign {
-                city: label.to_string(),
-                campaign: name.to_string(),
-            })
-        };
-        let (ookla, mlab, mba) = (take("ookla")?, take("mlab")?, take("mba")?);
-        prepared.push((config, ookla, mlab, mba));
-    }
-    let (analyses, fit_s) = fit_stage(prepared, seed, city_workers, obs);
-
-    let derive_s = derive_stage(&analyses, parallelism, obs);
-
-    Ok((
-        Arc::new(analyses),
-        StageTimings { generate_s, fit_s, derive_s, render_s: 0.0 },
-        sanitize_total,
-        stats_total,
-    ))
 }
 
 /// What one render job yields: its artifacts and headlines, in paper
@@ -1122,7 +1043,7 @@ fn placeholder_artifact(label: &str, reason: &str) -> Artifact {
 }
 
 /// Apply the fault-injection knobs of `opts` to a labeled job.
-fn instrument_job(label: &str, inner: RenderJob, opts: &SuperviseOptions) -> RenderJob {
+fn instrument_job(label: &str, inner: RenderJob, opts: &RunOptions) -> RenderJob {
     if opts.fail_jobs.iter().any(|l| l == label) {
         let label = label.to_string();
         return Arc::new(move || panic!("injected failure in job '{label}'"));
@@ -1150,71 +1071,48 @@ fn instrument_job(label: &str, inner: RenderJob, opts: &SuperviseOptions) -> Ren
     inner
 }
 
-/// Run every experiment; `analyses` must hold the four cities in order.
-pub fn run_all(analyses: &Arc<Vec<CityAnalysis>>, scale: f64, seed: u64) -> ReproReport {
-    run_all_par(analyses, scale, seed, 1, StageTimings::default())
-}
-
-/// Like [`run_all`], dispatching the render jobs to up to `parallelism`
-/// workers through a bounded queue and stitching the results back into
-/// paper order. Artifacts and headlines are identical at every
-/// parallelism level.
-///
-/// `timings` carries the generate/fit wall-clocks from
-/// [`build_analyses_par`]; this call fills in `render_s`.
-pub fn run_all_par(
+/// The render stage: every experiment as a supervised job on up to
+/// `opts.parallelism` workers, stitched back into paper order. Every job
+/// runs under `catch_unwind` with a per-attempt deadline and one retry;
+/// a job that fails both attempts degrades to a placeholder artifact at
+/// its paper-order position and is recorded in [`ReproReport::health`],
+/// so the run always completes. Each job records into its own
+/// sub-registry (one `render/<label>` span); the coordinator merges them
+/// in paper order and adds the deterministic job counters
+/// (`render.jobs`, `render.jobs_retried`, `render.jobs_failed`,
+/// `render.artifacts{job}`, `render.headlines{job}`). `analyses` must
+/// hold the four cities in order; `sanitize` surfaces in the report's
+/// `## Health` section.
+fn render(
     analyses: &Arc<Vec<CityAnalysis>>,
-    scale: f64,
-    seed: u64,
-    parallelism: usize,
-    timings: StageTimings,
-) -> ReproReport {
-    let opts = SuperviseOptions { parallelism, ..SuperviseOptions::default() };
-    run_all_supervised(analyses, scale, seed, &opts, timings, SanitizeReport::default())
-}
-
-/// The supervised render engine. Every job runs under `catch_unwind`
-/// with a per-attempt deadline and one retry; a job that fails both
-/// attempts degrades to a placeholder artifact at its paper-order
-/// position and is recorded in [`ReproReport::health`]. The run always
-/// completes; callers decide (via [`RunHealth::is_degraded`]) whether a
-/// degraded run is acceptable.
-///
-/// `sanitize` carries the record-quarantine counters from
-/// [`build_analyses_sanitized`]; they surface in the report's `## Health`
-/// section.
-pub fn run_all_supervised(
-    analyses: &Arc<Vec<CityAnalysis>>,
-    scale: f64,
-    seed: u64,
-    opts: &SuperviseOptions,
-    timings: StageTimings,
-    sanitize: SanitizeReport,
-) -> ReproReport {
-    run_all_observed(analyses, scale, seed, opts, timings, sanitize, &Registry::disabled())
-}
-
-/// Like [`run_all_supervised`], recording render metrics and spans into
-/// `obs`. Each job runs against its own sub-registry (one
-/// `render/<label>` span per job); the coordinator merges them in paper
-/// order and adds the deterministic job counters (`render.jobs`,
-/// `render.jobs_retried`, `render.jobs_failed`,
-/// `render.artifacts{job}`, `render.headlines{job}`) while stitching
-/// the outputs. With an enabled registry the returned
-/// [`ReproReport::metrics`] carries the full snapshot of the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_all_observed(
-    analyses: &Arc<Vec<CityAnalysis>>,
-    scale: f64,
-    seed: u64,
-    opts: &SuperviseOptions,
+    opts: &RunOptions,
     timings: StageTimings,
     sanitize: SanitizeReport,
     obs: &Registry,
 ) -> ReproReport {
     assert_eq!(analyses.len(), 4, "need all four cities");
-    obs.event("stage.start", "lifecycle", &[("stage", "render")]);
-    let render_span = obs.span("render");
+    let ((artifacts, headlines, health), render_s) =
+        stage(obs, "render", || supervise(analyses, opts, sanitize, obs));
+    let metrics = obs.is_enabled().then(|| obs.snapshot());
+    ReproReport {
+        scale: opts.scale,
+        seed: opts.seed,
+        artifacts,
+        headlines,
+        timings: StageTimings { render_s, ..timings },
+        health,
+        metrics,
+    }
+}
+
+/// Dispatch, supervise and stitch the render jobs (the body of the
+/// render stage).
+fn supervise(
+    analyses: &Arc<Vec<CityAnalysis>>,
+    opts: &RunOptions,
+    sanitize: SanitizeReport,
+    obs: &Registry,
+) -> (Vec<Artifact>, Vec<(String, String)>, RunHealth) {
     let jobs: Vec<(String, RenderJob)> = render_jobs(analyses)
         .into_iter()
         .map(|(label, inner)| {
@@ -1276,10 +1174,7 @@ pub fn run_all_observed(
             }
         }
     }
-    let timings = StageTimings { render_s: render_span.stop(), ..timings };
-    obs.event("stage.end", "lifecycle", &[("stage", "render")]);
-    let metrics = obs.is_enabled().then(|| obs.snapshot());
-    ReproReport { scale, seed, artifacts, headlines, timings, health, metrics }
+    (artifacts, headlines, health)
 }
 
 /// Render the `## Health` section body (shared by the report and tests;
@@ -1395,12 +1290,25 @@ pub fn render_report(report: &ReproReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+
+    fn tiny() -> Arc<Vec<CityAnalysis>> {
+        build_analyses_par(0.004, 2024, 1).0
+    }
+
+    /// The render stage alone, unobserved, with `opts`' fault injection.
+    fn render_with(analyses: &Arc<Vec<CityAnalysis>>, opts: &RunOptions) -> ReproReport {
+        render(
+            analyses,
+            opts,
+            StageTimings::default(),
+            SanitizeReport::default(),
+            &Registry::disabled(),
+        )
+    }
 
     #[test]
     fn tiny_run_produces_all_artifacts() {
-        let analyses = build_analyses(0.004, 2024);
-        let report = run_all(&analyses, 0.004, 2024);
+        let report = run_all_par(&tiny(), 0.004, 2024, 1, StageTimings::default());
         assert!(report.artifacts.len() > 25, "artifacts: {}", report.artifacts.len());
         assert!(report.headlines.len() >= 8);
         let ids: Vec<&str> = report.artifacts.iter().map(|a| a.id.as_str()).collect();
@@ -1425,9 +1333,8 @@ mod tests {
     #[test]
     fn observed_run_records_metrics_and_plain_run_does_not() {
         let obs = Registry::new();
-        let (analyses, timings, sanitize) = build_analyses_observed(0.004, 2024, 2, None, &obs);
-        let opts = SuperviseOptions { parallelism: 2, ..SuperviseOptions::default() };
-        let report = run_all_observed(&analyses, 0.004, 2024, &opts, timings, sanitize, &obs);
+        let run = run(&RunOptions::new(0.004, 2024, 2), Feed::Batch(None), &obs).unwrap();
+        let report = &run.report;
         let metrics = report.metrics.as_ref().expect("enabled registry yields a snapshot");
         let det = &metrics.deterministic;
         for prefix in ["datagen.records", "sanitize.clean", "bst.em_iterations_total", "store.rows"]
@@ -1445,11 +1352,11 @@ mod tests {
         }
         assert!(spans.keys().any(|k| k.starts_with("generate/City-")), "no per-city span");
         assert!(spans.contains_key("render/fig01"), "no per-job span");
-        let md = render_report(&report);
+        let md = render_report(report);
         assert!(md.contains("## Metrics"));
         assert!(md.contains("counter totals"));
-        // The plain entry points stay metrics-free.
-        let plain = run_all(&analyses, 0.004, 2024);
+        // An unobserved render stays metrics-free.
+        let plain = run_all_par(&run.analyses, 0.004, 2024, 1, StageTimings::default());
         assert!(plain.metrics.is_none());
         assert!(!render_report(&plain).contains("## Metrics"));
     }
@@ -1458,7 +1365,7 @@ mod tests {
     fn parallel_report_matches_sequential() {
         let (seq_analyses, _) = build_analyses_par(0.004, 77, 1);
         let (par_analyses, _) = build_analyses_par(0.004, 77, 4);
-        let seq = run_all(&seq_analyses, 0.004, 77);
+        let seq = run_all_par(&seq_analyses, 0.004, 77, 1, StageTimings::default());
         let par = run_all_par(&par_analyses, 0.004, 77, 4, StageTimings::default());
         assert_eq!(seq.artifacts.len(), par.artifacts.len());
         for (s, p) in seq.artifacts.iter().zip(&par.artifacts) {
@@ -1472,7 +1379,8 @@ mod tests {
 
     #[test]
     fn sanitizer_counts_pristine_records_as_clean() {
-        let (_, _, report) = build_analyses_sanitized(0.004, 2024, 2, None);
+        let opts = RunOptions::new(0.004, 2024, 2);
+        let (_, _, report, _) = build(&opts, Feed::Batch(None), &Registry::disabled()).unwrap();
         assert!(report.clean > 1000, "clean records: {}", report.clean);
         assert_eq!(report.quarantined, 0, "pristine generator quarantined: {report:?}");
         assert_eq!(report.repaired, 0);
@@ -1481,41 +1389,26 @@ mod tests {
     #[test]
     fn dirty_records_quarantine_and_analysis_survives() {
         let dirty = DirtyScenario::with_total_rate(0.02);
-        let (analyses, timings, report) = build_analyses_sanitized(0.004, 2024, 2, Some(&dirty));
+        let opts = RunOptions::new(0.004, 2024, 2);
+        let run = run(&opts, Feed::Batch(Some(dirty)), &Registry::disabled()).unwrap();
+        let report = &run.report.health.sanitize;
         assert!(report.quarantined > 0, "2% dirty must quarantine something");
         // Duplicates and clock-skew repairs both occur at this rate.
         assert!(report.quarantine_reasons.contains_key("duplicate-id"), "{report:?}");
         assert!(report.repaired > 0, "clock-skewed records should be repaired: {report:?}");
         // The degraded dataset still fits and renders end to end.
-        let run = run_all_supervised(
-            &analyses,
-            0.004,
-            2024,
-            &SuperviseOptions::default(),
-            timings,
-            report,
-        );
-        assert!(run.artifacts.len() > 25);
-        assert!(!run.health.is_degraded());
-        assert!(run.health.sanitize.quarantined > 0);
+        assert!(run.report.artifacts.len() > 25);
+        assert!(!run.report.health.is_degraded());
     }
 
     #[test]
     fn injected_job_failure_degrades_to_placeholder() {
-        let analyses = build_analyses(0.004, 2024);
-        let opts = SuperviseOptions {
+        let opts = RunOptions {
             fail_jobs: vec!["fig08".into()],
             deadline: Duration::from_secs(60),
-            ..SuperviseOptions::default()
+            ..RunOptions::new(0.004, 2024, 1)
         };
-        let report = run_all_supervised(
-            &analyses,
-            0.004,
-            2024,
-            &opts,
-            StageTimings::default(),
-            SanitizeReport::default(),
-        );
+        let report = render_with(&tiny(), &opts);
         assert!(report.health.is_degraded());
         assert_eq!(report.health.jobs_failed, 1);
         assert_eq!(report.health.failures[0].label, "fig08");
@@ -1534,42 +1427,28 @@ mod tests {
 
     #[test]
     fn flaky_job_survives_on_retry() {
-        let analyses = build_analyses(0.004, 2024);
+        let analyses = tiny();
         let opts =
-            SuperviseOptions { flaky_jobs: vec!["table1".into()], ..SuperviseOptions::default() };
-        let report = run_all_supervised(
-            &analyses,
-            0.004,
-            2024,
-            &opts,
-            StageTimings::default(),
-            SanitizeReport::default(),
-        );
+            RunOptions { flaky_jobs: vec!["table1".into()], ..RunOptions::new(0.004, 2024, 1) };
+        let report = render_with(&analyses, &opts);
         assert!(!report.health.is_degraded());
         assert_eq!(report.health.jobs_retried, 1);
         assert_eq!(report.health.jobs_failed, 0);
-        let clean = run_all(&analyses, 0.004, 2024);
+        let clean = render_with(&analyses, &RunOptions::new(0.004, 2024, 1));
         assert_eq!(report.artifacts.len(), clean.artifacts.len());
         assert_eq!(report.artifacts[0].text, clean.artifacts[0].text);
     }
 
     #[test]
     fn hanging_job_hits_the_deadline_and_degrades() {
-        let analyses = build_analyses(0.004, 2024);
-        let opts = SuperviseOptions {
+        let analyses = tiny();
+        let opts = RunOptions {
             hang_jobs: vec!["ext_latency".into()],
             deadline: Duration::from_millis(250),
-            ..SuperviseOptions::default()
+            ..RunOptions::new(0.004, 2024, 1)
         };
         let t0 = Instant::now();
-        let report = run_all_supervised(
-            &analyses,
-            0.004,
-            2024,
-            &opts,
-            StageTimings::default(),
-            SanitizeReport::default(),
-        );
+        let report = render_with(&analyses, &opts);
         assert!(report.health.is_degraded());
         assert_eq!(report.health.failures[0].label, "ext_latency");
         assert!(report.health.failures[0].reason.contains("deadline exceeded"));
@@ -1582,13 +1461,9 @@ mod tests {
     fn degraded_run_is_identical_across_parallelism() {
         let dirty = DirtyScenario::with_total_rate(0.02);
         let mk = |par: usize| {
-            let (analyses, _, sanitize) = build_analyses_sanitized(0.004, 99, par, Some(&dirty));
-            let opts = SuperviseOptions {
-                parallelism: par,
-                fail_jobs: vec!["fig10".into()],
-                ..SuperviseOptions::default()
-            };
-            run_all_supervised(&analyses, 0.004, 99, &opts, StageTimings::default(), sanitize)
+            let opts =
+                RunOptions { fail_jobs: vec!["fig10".into()], ..RunOptions::new(0.004, 99, par) };
+            run(&opts, Feed::Batch(Some(dirty)), &Registry::disabled()).unwrap().report
         };
         let seq = mk(1);
         let par = mk(4);

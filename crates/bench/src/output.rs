@@ -1,0 +1,339 @@
+//! What a pipeline binary writes after its run — the one output tail of
+//! `repro`, `ingest` and `serve`.
+//!
+//! [`write_run`] writes, into `--out`:
+//!
+//! * `<id>.svg` / `<id>.json` for every artifact;
+//! * `BENCH_timings.json` — the run's knobs and stage wall-clocks;
+//! * `BENCH_metrics.json` (with `--metrics`) — the metrics snapshot: a
+//!   `deterministic` section that is byte-identical at every parallelism
+//!   level and a `wall_clock` section that is not (DESIGN.md §14);
+//! * `BENCH_trace.json` — the span tree and lifecycle events in Chrome
+//!   Trace Event Format;
+//! * one row appended to `BENCH_ledger.jsonl`;
+//! * `report.md` — the report plus the paper's shape claims, also
+//!   printed to stdout.
+//!
+//! With `--baseline` it then diffs the run's metrics against a previous
+//! `BENCH_metrics.json`: deterministic drift fails the run, wall-clock
+//! deltas beyond tolerance only warn. A file that cannot be written
+//! warns and is counted; the run still writes everything else, and the
+//! [`Outcome`] fails it.
+
+use crate::cli::CommonArgs;
+use crate::diff::{diff_metrics, MetricsDoc};
+use crate::ledger::append_ledger;
+use crate::{claims, render_report, IngestOptions, Run, StageTimings};
+use serde::json::Writer;
+use serde::Serialize;
+use st_obs::Registry;
+use std::path::Path;
+use std::process::ExitCode;
+
+/// The chunk plan of a replay run: what `BENCH_timings.json` and the
+/// trace name carry beyond the shared flags.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkPlan {
+    /// Chunk and seal sizes.
+    pub ingest: IngestOptions,
+    /// Accepted rows per published epoch (`serve` only).
+    pub epoch_rows: Option<usize>,
+}
+
+/// How writing a run's outputs went.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    /// Files written (artifacts, BENCH_* records, the ledger append,
+    /// `report.md`).
+    pub written: usize,
+    /// Output files that could not be written.
+    pub write_failures: usize,
+    /// `--baseline` was unreadable, or its deterministic metrics drifted.
+    pub baseline_failed: bool,
+    /// A render job degraded to a placeholder.
+    pub degraded: bool,
+}
+
+impl Outcome {
+    /// Whether the run succeeded. `allow_degraded` forgives degraded
+    /// render jobs, never write failures or baseline drift.
+    pub fn is_success(&self, allow_degraded: bool) -> bool {
+        self.write_failures == 0 && !self.baseline_failed && (allow_degraded || !self.degraded)
+    }
+
+    /// The process exit code of the run.
+    pub fn exit_code(&self, allow_degraded: bool) -> ExitCode {
+        if self.is_success(allow_degraded) {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `BENCH_timings.json`: the run's knobs, then the stage wall-clocks. A
+/// replay run adds its chunk plan and the `ingest` stage's seconds.
+struct TimingsRecord<'a> {
+    args: &'a CommonArgs,
+    plan: Option<ChunkPlan>,
+    timings: StageTimings,
+    ingest_s: f64,
+}
+
+impl Serialize for TimingsRecord<'_> {
+    fn write_json(&self, w: &mut Writer) {
+        fn field(w: &mut Writer, key: &str, value: &impl Serialize) {
+            w.key(key);
+            value.write_json(w);
+        }
+        w.begin_object();
+        field(w, "scale", &self.args.scale);
+        field(w, "seed", &self.args.seed);
+        field(w, "parallelism", &self.args.parallelism);
+        if let Some(plan) = &self.plan {
+            field(w, "chunk_rows", &plan.ingest.chunk_rows);
+            field(w, "seal_rows", &plan.ingest.seal_rows);
+            if let Some(epoch_rows) = &plan.epoch_rows {
+                field(w, "epoch_rows", epoch_rows);
+            }
+        }
+        field(w, "timings", &self.timings);
+        if self.plan.is_some() {
+            field(w, "ingest_s", &self.ingest_s);
+        }
+        w.end_object();
+    }
+}
+
+/// The `BENCH_metrics.json` schema: the run header, then the two metric
+/// classes. The deterministic section is byte-identical at every
+/// parallelism level; `wall_clock` (and the header's `parallelism`) is
+/// excluded from that contract.
+#[derive(Serialize)]
+struct MetricsRecord {
+    schema: &'static str,
+    scale: f64,
+    seed: u64,
+    parallelism: usize,
+    deterministic: st_obs::DeterministicMetrics,
+    wall_clock: st_obs::WallClockMetrics,
+}
+
+/// Write one output file, counting it as written or failed.
+fn write_file(path: &Path, contents: &str, outcome: &mut Outcome) -> bool {
+    match std::fs::write(path, contents) {
+        Ok(()) => {
+            outcome.written += 1;
+            true
+        }
+        Err(e) => {
+            outcome.write_failures += 1;
+            eprintln!("WARN: cannot write {}: {e}", path.display());
+            false
+        }
+    }
+}
+
+/// Write everything `run` produced (see the module docs) and diff it
+/// against `--baseline`. `bin` names the binary in the trace and in
+/// progress messages; `plan` is the chunk plan of a replay run;
+/// `ledger_row` is the row appended to `BENCH_ledger.jsonl`. `obs` must
+/// be the enabled registry the run recorded into.
+pub fn write_run(
+    args: &CommonArgs,
+    bin: &str,
+    plan: Option<ChunkPlan>,
+    run: &Run,
+    obs: &Registry,
+    ledger_row: &impl Serialize,
+) -> Outcome {
+    let report = &run.report;
+    let mut outcome = Outcome { degraded: report.health.is_degraded(), ..Outcome::default() };
+    let out = &args.out;
+    if let Err(e) = std::fs::create_dir_all(out) {
+        eprintln!("cannot create {}: {e}", out.display());
+        outcome.write_failures += 1;
+        return outcome;
+    }
+    for a in &report.artifacts {
+        if let Some(svg) = &a.svg {
+            write_file(&out.join(format!("{}.svg", a.id)), svg, &mut outcome);
+        }
+        write_file(&out.join(format!("{}.json", a.id)), &a.json, &mut outcome);
+    }
+
+    let timings =
+        TimingsRecord { args, plan, timings: report.timings, ingest_s: run.replay.ingest_s };
+    let timings_path = out.join("BENCH_timings.json");
+    let timings_json = serde_json::to_string_pretty(&timings).expect("timings serialize");
+    if write_file(&timings_path, &timings_json, &mut outcome) {
+        eprintln!("wrote {}", timings_path.display());
+    }
+
+    // The metrics record is always assembled (`--baseline` diffs against
+    // it); the file itself is only written under `--metrics`.
+    let snapshot = report.metrics.as_ref().expect("observed run carries metrics");
+    let record = MetricsRecord {
+        schema: snapshot.schema,
+        scale: args.scale,
+        seed: args.seed,
+        parallelism: args.parallelism,
+        deterministic: snapshot.deterministic.clone(),
+        wall_clock: snapshot.wall_clock.clone(),
+    };
+    let metrics_json = serde_json::to_string_pretty(&record).expect("metrics serialize");
+    if args.metrics {
+        let metrics_path = out.join("BENCH_metrics.json");
+        if write_file(&metrics_path, &metrics_json, &mut outcome) {
+            eprintln!("wrote {}", metrics_path.display());
+        }
+    }
+
+    // The process name leaves out parallelism: with `ts`/`dur` stripped,
+    // the trace is byte-identical at every parallelism level.
+    let mut process = format!("{bin} scale={} seed={}", args.scale, args.seed);
+    if let Some(plan) = &plan {
+        process.push_str(&format!(" chunk_rows={}", plan.ingest.chunk_rows));
+        if let Some(epoch_rows) = plan.epoch_rows {
+            process.push_str(&format!(" epoch_rows={epoch_rows}"));
+        }
+    }
+    let trace_path = out.join("BENCH_trace.json");
+    if write_file(&trace_path, &obs.trace().to_chrome_json(&process), &mut outcome) {
+        eprintln!("wrote {}", trace_path.display());
+    }
+
+    let ledger_path = out.join("BENCH_ledger.jsonl");
+    match append_ledger(&ledger_path, ledger_row) {
+        Ok(()) => {
+            outcome.written += 1;
+            eprintln!("appended {bin} ledger row to {}", ledger_path.display());
+        }
+        Err(e) => {
+            outcome.write_failures += 1;
+            eprintln!("WARN: cannot append to {}: {e}", ledger_path.display());
+        }
+    }
+
+    let claims = claims::check_all(&run.analyses);
+    let mut md = render_report(report);
+    md.push_str("\n## Shape claims (paper vs this run)\n\n");
+    md.push_str(&claims::render_claims(&claims));
+    let holds = claims.iter().filter(|c| c.holds).count();
+    md.push_str(&format!("\n{holds}/{} claims hold\n", claims.len()));
+    write_file(&out.join("report.md"), &md, &mut outcome);
+    println!("{md}");
+
+    if let Some(baseline) = &args.baseline {
+        outcome.baseline_failed = !baseline_matches(baseline, &metrics_json, args);
+    }
+
+    let t = &report.timings;
+    let mut stages = format!("generate {:.1}s", t.generate_s);
+    if plan.is_some() {
+        let r = &run.replay;
+        let rows_per_s = if r.ingest_s > 0.0 { r.rows as f64 / r.ingest_s } else { 0.0 };
+        stages.push_str(&format!(" | ingest {:.1}s ({rows_per_s:.0} rows/s)", r.ingest_s));
+    }
+    eprintln!(
+        "{stages} | fit {:.1}s | derive {:.1}s | render {:.1}s",
+        t.fit_s, t.derive_s, t.render_s
+    );
+    eprintln!("wrote {} files to {}", outcome.written, out.display());
+    if outcome.write_failures > 0 {
+        eprintln!("WRITE FAILURES: {} output files could not be written", outcome.write_failures);
+    }
+    if outcome.degraded {
+        let h = &report.health;
+        eprintln!(
+            "DEGRADED: {} of {} render jobs failed ({} retried); see the report's Health section",
+            h.jobs_failed, h.jobs_total, h.jobs_retried
+        );
+    }
+    outcome
+}
+
+/// The regression gate (DESIGN.md §14): diff this run's metrics against
+/// the baseline snapshot and print the diff. False when the baseline is
+/// unreadable or its deterministic metrics drifted.
+fn baseline_matches(baseline: &Path, metrics_json: &str, args: &CommonArgs) -> bool {
+    let baseline_doc = match std::fs::read_to_string(baseline) {
+        Ok(text) => match MetricsDoc::parse(&text) {
+            Ok(doc) => doc,
+            Err(e) => {
+                eprintln!("baseline {}: {e}", baseline.display());
+                return false;
+            }
+        },
+        Err(e) => {
+            eprintln!("cannot read baseline {}: {e}", baseline.display());
+            return false;
+        }
+    };
+    let current_doc = MetricsDoc::parse(metrics_json).expect("own snapshot parses");
+    let diff = diff_metrics(&baseline_doc, &current_doc, args.diff_options);
+    println!("{}", diff.render(&baseline_doc, &current_doc));
+    if diff.deterministic_match() {
+        eprintln!(
+            "baseline {}: deterministic metrics match ({} keys)",
+            baseline.display(),
+            diff.matched_keys
+        );
+        true
+    } else {
+        eprintln!(
+            "BASELINE DRIFT: {} deterministic keys differ from {}",
+            diff.drift.len(),
+            baseline.display()
+        );
+        false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ledger::LedgerRow;
+    use crate::{run, Feed};
+
+    #[test]
+    fn an_unwritable_output_is_counted_and_fails_the_run() {
+        let dir = std::env::temp_dir().join(format!("st-output-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory squats on one artifact's file name.
+        std::fs::create_dir_all(dir.join("fig01.svg")).unwrap();
+        let args = crate::cli::parse_args(
+            ["--scale", "0.004", "--seed", "2024", "--metrics", "--out", dir.to_str().unwrap()]
+                .map(String::from),
+            "usage: test",
+            "unused",
+            |_, _| Ok(false),
+        )
+        .unwrap();
+        let obs = Registry::new();
+        let run = run(&args.run_options(), Feed::Batch(None), &obs).unwrap();
+        let row = LedgerRow::from_report(&run.report, args.parallelism);
+
+        let outcome = write_run(&args, "repro", None, &run, &obs, &row);
+
+        assert_eq!(outcome.write_failures, 1, "{outcome:?}");
+        assert!(!outcome.degraded);
+        assert!(!outcome.is_success(false) && !outcome.is_success(true));
+        assert!(dir.join("fig01.svg").is_dir(), "the squatter is left alone");
+        for file in [
+            "fig01.json",
+            "table1.json",
+            "fig09a.svg",
+            "report.md",
+            "BENCH_timings.json",
+            "BENCH_metrics.json",
+            "BENCH_trace.json",
+            "BENCH_ledger.jsonl",
+        ] {
+            assert!(dir.join(file).is_file(), "{file} was not written");
+        }
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(outcome.written, files - 1, "every file but the squatter was counted");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -4,24 +4,18 @@
 //! degradation in `## Health` with per-reason quarantine counts, and stay
 //! byte-identical between `--parallelism` 1 and 4.
 
-use st_bench::{
-    build_analyses_sanitized, render_health, render_report, run_all_supervised, SuperviseOptions,
-};
+use st_bench::{render_health, render_report, run, Feed, RunOptions};
 use st_datagen::DirtyScenario;
+use st_obs::Registry;
 
 const SCALE: f64 = 0.004;
 const SEED: u64 = 20220707;
 
 fn degraded_run(parallelism: usize) -> (st_bench::ReproReport, String) {
     let dirty = DirtyScenario::with_total_rate(0.02);
-    let (analyses, timings, sanitize) =
-        build_analyses_sanitized(SCALE, SEED, parallelism, Some(&dirty));
-    let opts = SuperviseOptions {
-        parallelism,
-        fail_jobs: vec!["fig08".into()],
-        ..SuperviseOptions::default()
-    };
-    let report = run_all_supervised(&analyses, SCALE, SEED, &opts, timings, sanitize);
+    let opts =
+        RunOptions { fail_jobs: vec!["fig08".into()], ..RunOptions::new(SCALE, SEED, parallelism) };
+    let report = run(&opts, Feed::Batch(Some(dirty)), &Registry::disabled()).unwrap().report;
     let md = render_report(&report);
     (report, md)
 }

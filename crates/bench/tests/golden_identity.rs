@@ -7,10 +7,7 @@
 //! captured from a release run at scale 0.004, seed 2024 — the same
 //! configuration the CI determinism smoke uses.
 
-use st_bench::{
-    build_analyses_observed, build_analyses_par, run_all_observed, run_all_par, ReproReport,
-    StageTimings, SuperviseOptions,
-};
+use st_bench::{build_analyses_par, run, run_all_par, Feed, ReproReport, RunOptions, StageTimings};
 use st_obs::Registry;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -61,21 +58,22 @@ fn report_hash(report: &ReproReport) -> (u64, usize) {
 }
 
 /// Reconstruct and hash the artifact file set of a plain
-/// (observability-disabled) run.
+/// (observability-disabled) run. The library's ledger hash must agree
+/// with this independent oracle.
 fn artifact_hash(parallelism: usize) -> (u64, usize) {
     let (analyses, timings) = build_analyses_par(0.004, 2024, parallelism);
     let report = run_all_par(&analyses, 0.004, 2024, parallelism, timings);
-    report_hash(&report)
+    let hash = report_hash(&report);
+    assert_eq!(st_bench::ledger::artifact_hash(&report.artifacts), hash, "ledger hash disagrees");
+    hash
 }
 
 /// Same file set, with an **enabled** metrics registry threaded through
 /// every stage.
 fn observed_artifact_hash(parallelism: usize) -> (u64, usize) {
     let obs = Registry::new();
-    let (analyses, timings, sanitize) =
-        build_analyses_observed(0.004, 2024, parallelism, None, &obs);
-    let opts = SuperviseOptions { parallelism, ..SuperviseOptions::default() };
-    let report = run_all_observed(&analyses, 0.004, 2024, &opts, timings, sanitize, &obs);
+    let opts = RunOptions::new(0.004, 2024, parallelism);
+    let report = run(&opts, Feed::Batch(None), &obs).expect("batch run").report;
     assert!(report.metrics.is_some(), "enabled registry must yield a snapshot");
     report_hash(&report)
 }

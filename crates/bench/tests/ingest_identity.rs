@@ -1,6 +1,6 @@
 //! Batch-vs-incremental identity for the ingest front-end.
 //!
-//! The chunked replay (`build_analyses_ingest`) must reproduce the
+//! The chunked replay (`Feed::Chunks`) must reproduce the
 //! pinned batch golden artifacts byte for byte — at any chunk size, any
 //! seal threshold, and any parallelism. The expected hash below is the
 //! same value `golden_identity.rs` pins for the batch pipeline; equality
@@ -8,55 +8,20 @@
 //! interleave are pure functions of (seed, chunk plan) and never leak
 //! into the rendered output.
 
-use st_bench::ledger::{IngestLedgerRow, INGEST_LEDGER_SCHEMA};
-use st_bench::{
-    build_analyses_ingest, run_all_observed, IngestOptions, IngestStats, ReproReport,
-    SuperviseOptions,
-};
+use st_bench::ledger::{artifact_hash, IngestLedgerRow, INGEST_LEDGER_SCHEMA};
+use st_bench::{run, Feed, IngestOptions, ReplayStats, ReproReport, RunOptions};
 use st_obs::Registry;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
 /// The batch pipeline's pinned golden hash (see `golden_identity.rs`).
 const GOLDEN_HASH: u64 = 0x0e77_4be6_9287_5897;
 const GOLDEN_FILES: usize = 89;
 
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Hash a report's artifact file set exactly as the golden capture did.
-fn report_hash(report: &ReproReport) -> (u64, usize) {
-    let mut files: Vec<(String, &str)> = Vec::new();
-    for a in &report.artifacts {
-        if let Some(svg) = &a.svg {
-            files.push((format!("{}.svg", a.id), svg));
-        }
-        files.push((format!("{}.json", a.id), &a.json));
-    }
-    files.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut h = FNV_OFFSET;
-    for (name, body) in &files {
-        h = fnv1a(name.as_bytes(), h);
-        h = fnv1a(body.as_bytes(), h);
-    }
-    (h, files.len())
-}
-
 /// Replay the golden configuration through the ingest front-end and
 /// render everything.
-fn ingest_run(parallelism: usize, opts: IngestOptions) -> (ReproReport, IngestStats) {
-    let obs = Registry::new();
-    let (analyses, timings, sanitize, stats) =
-        build_analyses_ingest(0.004, 2024, parallelism, opts, &obs);
-    let sup = SuperviseOptions { parallelism, ..SuperviseOptions::default() };
-    let report = run_all_observed(&analyses, 0.004, 2024, &sup, timings, sanitize, &obs);
-    (report, stats)
+fn ingest_run(parallelism: usize, opts: IngestOptions) -> (ReproReport, ReplayStats) {
+    let run_opts = RunOptions::new(0.004, 2024, parallelism);
+    let run = run(&run_opts, Feed::Chunks(opts), &Registry::new()).expect("chunk replay");
+    (run.report, run.replay)
 }
 
 #[test]
@@ -64,7 +29,7 @@ fn chunked_replay_reproduces_the_batch_golden_artifacts() {
     // Small chunks, default-ish seal: many append calls per store.
     let opts = IngestOptions { chunk_rows: 500, seal_rows: 2048 };
     let (report, stats) = ingest_run(1, opts);
-    let (h, n) = report_hash(&report);
+    let (h, n) = artifact_hash(&report.artifacts);
     assert_eq!(n, GOLDEN_FILES, "artifact file count changed under chunked ingest");
     assert_eq!(h, GOLDEN_HASH, "chunked replay diverged from the batch golden run (hash {h:#x})");
     assert!(stats.chunks > 0 && stats.rows > 0, "ingest stage saw no work: {stats:?}");
@@ -89,7 +54,7 @@ fn a_different_chunk_plan_and_parallelism_hash_identically() {
     // the multi-segment render path must still hit the batch hash.
     let opts = IngestOptions { chunk_rows: 2048, seal_rows: 200 };
     let (report, stats) = ingest_run(4, opts);
-    let (h, n) = report_hash(&report);
+    let (h, n) = artifact_hash(&report.artifacts);
     assert_eq!(n, GOLDEN_FILES, "artifact file count changed under chunked ingest");
     assert_eq!(
         h, GOLDEN_HASH,

@@ -8,10 +8,7 @@
 //! is explicitly exempt. Observation must also be read-only — enabling
 //! the registry must not change a single artifact byte.
 
-use st_bench::{
-    build_analyses_observed, render_health, render_metrics, run_all_observed, ReproReport,
-    SuperviseOptions,
-};
+use st_bench::{render_health, render_metrics, run, Feed, ReproReport, RunOptions};
 use st_datagen::DirtyScenario;
 use st_obs::{MetricsSnapshot, Registry};
 
@@ -24,14 +21,11 @@ fn observed_run(
     fail_jobs: &[&str],
 ) -> (ReproReport, MetricsSnapshot) {
     let obs = Registry::new();
-    let (analyses, timings, sanitize) =
-        build_analyses_observed(SCALE, SEED, parallelism, dirty, &obs);
-    let opts = SuperviseOptions {
-        parallelism,
+    let opts = RunOptions {
         fail_jobs: fail_jobs.iter().map(|s| s.to_string()).collect(),
-        ..SuperviseOptions::default()
+        ..RunOptions::new(SCALE, SEED, parallelism)
     };
-    let report = run_all_observed(&analyses, SCALE, SEED, &opts, timings, sanitize, &obs);
+    let report = run(&opts, Feed::Batch(dirty.copied()), &obs).unwrap().report;
     let snapshot = obs.snapshot();
     (report, snapshot)
 }
@@ -89,9 +83,8 @@ fn deterministic_metrics_survive_dirty_data_and_degraded_jobs() {
 #[test]
 fn observation_is_read_only() {
     let (observed, snapshot) = observed_run(2, None, &[]);
-    let (analyses, timings, sanitize) = st_bench::build_analyses_sanitized(SCALE, SEED, 2, None);
-    let opts = SuperviseOptions { parallelism: 2, ..SuperviseOptions::default() };
-    let plain = st_bench::run_all_supervised(&analyses, SCALE, SEED, &opts, timings, sanitize);
+    let opts = RunOptions::new(SCALE, SEED, 2);
+    let plain = run(&opts, Feed::Batch(None), &Registry::disabled()).unwrap().report;
 
     assert!(snapshot.deterministic.counters.len() > 20);
     assert!(plain.metrics.is_none());

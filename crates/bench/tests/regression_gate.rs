@@ -7,7 +7,7 @@
 use serde_json::Value;
 use st_bench::diff::{diff_metrics, DiffOptions, MetricsDoc};
 use st_bench::ledger::{append_ledger, read_ledger, LedgerRow};
-use st_bench::{build_analyses_observed, run_all_observed, ReproReport, SuperviseOptions};
+use st_bench::{run, Feed, ReproReport, RunOptions};
 use st_obs::Registry;
 use std::path::PathBuf;
 use std::process::Command;
@@ -16,11 +16,8 @@ use std::process::Command;
 /// snapshot JSON (`st_obs::MetricsSnapshot::to_json`, which
 /// `MetricsDoc::parse` accepts just like the repro binary's file).
 fn observed_snapshot(parallelism: usize) -> (ReproReport, String) {
-    let obs = Registry::new();
-    let (analyses, timings, sanitize) =
-        build_analyses_observed(0.004, 2024, parallelism, None, &obs);
-    let opts = SuperviseOptions { parallelism, ..SuperviseOptions::default() };
-    let report = run_all_observed(&analyses, 0.004, 2024, &opts, timings, sanitize, &obs);
+    let opts = RunOptions::new(0.004, 2024, parallelism);
+    let report = run(&opts, Feed::Batch(None), &Registry::new()).unwrap().report;
     let json = report.metrics.as_ref().expect("observed run carries metrics").to_json();
     (report, json)
 }

@@ -1,6 +1,6 @@
 //! Batch-vs-service identity for the long-running serve front-end.
 //!
-//! The serve replay (`build_analyses_serve`) streams the generated
+//! The serve replay (`Feed::Service`) streams the generated
 //! campaigns through a running [`st_serve::ContextService`] — sharded
 //! partitions, incremental sanitize, segment sealing, epoch publication
 //! — and must still reproduce the pinned batch golden artifacts byte
@@ -11,47 +11,15 @@
 //! and the service's locks are pure observation machinery that never
 //! leaks into the rendered output.
 
-use st_bench::ledger::{ServeLedgerRow, SERVE_LEDGER_SCHEMA};
-use st_bench::{
-    build_analyses_serve, make_warm_renderer, run_all_observed, ReproReport, ServeStats,
-    SuperviseOptions,
-};
+use st_bench::ledger::{artifact_hash, ServeLedgerRow, SERVE_LEDGER_SCHEMA};
+use st_bench::{make_warm_renderer, run, Feed, ReplayStats, ReproReport, RunOptions};
 use st_obs::Registry;
 use st_serve::{dispatch, ContextService, PartitionSpec, ServeOptions};
 use std::sync::Arc;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
 /// The batch pipeline's pinned golden hash (see `golden_identity.rs`).
 const GOLDEN_HASH: u64 = 0x0e77_4be6_9287_5897;
 const GOLDEN_FILES: usize = 89;
-
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Hash a report's artifact file set exactly as the golden capture did.
-fn report_hash(report: &ReproReport) -> (u64, usize) {
-    let mut files: Vec<(String, &str)> = Vec::new();
-    for a in &report.artifacts {
-        if let Some(svg) = &a.svg {
-            files.push((format!("{}.svg", a.id), svg));
-        }
-        files.push((format!("{}.json", a.id), &a.json));
-    }
-    files.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut h = FNV_OFFSET;
-    for (name, body) in &files {
-        h = fnv1a(name.as_bytes(), h);
-        h = fnv1a(body.as_bytes(), h);
-    }
-    (h, files.len())
-}
 
 /// Replay the golden configuration through a running service, drain,
 /// render everything, and publish the final epoch — the full serve
@@ -62,7 +30,7 @@ fn serve_run(
     seal_rows: usize,
     epoch_rows: usize,
     warm: bool,
-) -> (ReproReport, ServeStats, u64, Arc<ContextService>) {
+) -> (ReproReport, ReplayStats, u64, Arc<ContextService>) {
     let obs = Registry::new();
     let mut specs: Vec<PartitionSpec> =
         st_datagen::City::all().iter().map(|c| PartitionSpec::city(c.label())).collect();
@@ -72,12 +40,11 @@ fn serve_run(
         ServeOptions { seal_rows, epoch_rows, warm: warm.then(|| make_warm_renderer(0.004, 2024)) },
         obs.clone(),
     ));
-    let (analyses, timings, sanitize, stats) =
-        build_analyses_serve(0.004, 2024, parallelism, chunk_rows, &service, &obs)
-            .expect("serve replay succeeds");
-    let sup = SuperviseOptions { parallelism, ..SuperviseOptions::default() };
-    let report = run_all_observed(&analyses, 0.004, 2024, &sup, timings, sanitize, &obs);
-    let (hash, files) = report_hash(&report);
+    let feed = Feed::Service { service: &service, chunk_rows };
+    let run =
+        run(&RunOptions::new(0.004, 2024, parallelism), feed, &obs).expect("serve replay succeeds");
+    let (report, stats) = (run.report, run.replay);
+    let (hash, files) = artifact_hash(&report.artifacts);
     let final_epoch = service
         .publish_final(
             &report.health.sanitize,
@@ -95,7 +62,7 @@ fn service_replay_reproduces_the_batch_golden_artifacts() {
     // Small chunks, mid seal, epochs frequent enough to publish several
     // warm snapshots; single coordinator thread.
     let (report, stats, final_epoch, service) = serve_run(1, 500, 2048, 1500, false);
-    let (h, n) = report_hash(&report);
+    let (h, n) = artifact_hash(&report.artifacts);
     assert_eq!(n, GOLDEN_FILES, "artifact file count changed under the serve path");
     assert_eq!(h, GOLDEN_HASH, "service replay diverged from the batch golden run (hash {h:#x})");
     assert!(stats.chunks > 0 && stats.rows > 0, "serve stage saw no work: {stats:?}");
@@ -137,7 +104,7 @@ fn a_different_chunk_plan_parallel_coordinator_and_warm_fits_hash_identically() 
     // prefix models at every epoch crossing — none of it may perturb
     // the final artifacts.
     let (report, stats, final_epoch, service) = serve_run(4, 2048, 200, 2000, true);
-    let (h, n) = report_hash(&report);
+    let (h, n) = artifact_hash(&report.artifacts);
     assert_eq!(n, GOLDEN_FILES, "artifact file count changed under the serve path");
     assert_eq!(
         h, GOLDEN_HASH,

@@ -5,16 +5,14 @@
 //! only `ts` and `dur` may move.
 
 use serde_json::Value;
-use st_bench::{build_analyses_observed, run_all_observed, SuperviseOptions};
+use st_bench::{run, Feed, RunOptions};
 use st_obs::Registry;
 
 /// Run the full observed pipeline and return its trace.
 fn observed_trace(parallelism: usize, fail_jobs: Vec<String>) -> st_obs::Trace {
     let obs = Registry::new();
-    let (analyses, timings, sanitize) =
-        build_analyses_observed(0.004, 2024, parallelism, None, &obs);
-    let opts = SuperviseOptions { parallelism, fail_jobs, ..SuperviseOptions::default() };
-    let report = run_all_observed(&analyses, 0.004, 2024, &opts, timings, sanitize, &obs);
+    let opts = RunOptions { fail_jobs, ..RunOptions::new(0.004, 2024, parallelism) };
+    let report = run(&opts, Feed::Batch(None), &obs).unwrap().report;
     assert!(report.metrics.is_some());
     obs.trace()
 }

@@ -153,17 +153,6 @@ impl Column {
         }
     }
 
-    /// A grouping key for row `i`: strings for Str, canonical text otherwise.
-    /// F64 keys use the bit pattern so `-0.0`/`0.0` and NaNs group stably.
-    pub(crate) fn group_key(&self, row: usize) -> String {
-        match self {
-            Column::F64(v) => format!("f{:x}", v[row].to_bits()),
-            Column::I64(v) => format!("i{}", v[row]),
-            Column::Str(v) => format!("s{}", v[row]),
-            Column::Bool(v) => format!("b{}", v[row]),
-        }
-    }
-
     /// Compare rows `a` and `b` within this column (ascending).
     pub(crate) fn cmp_rows(&self, a: usize, b: usize) -> std::cmp::Ordering {
         use std::cmp::Ordering;
@@ -246,13 +235,6 @@ mod tests {
         assert_eq!(Value::Str("hi".into()).to_string(), "hi");
         assert_eq!(Value::Bool(true).to_string(), "true");
         assert_eq!(Value::I64(-3).to_string(), "-3");
-    }
-
-    #[test]
-    fn group_keys_distinguish_types() {
-        let f = Column::from(vec![1.0]);
-        let i = Column::from(vec![1i64]);
-        assert_ne!(f.group_key(0), i.group_key(0));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::column::{Column, DType, Value};
 use crate::error::FrameError;
-use crate::groupby::GroupBy;
 use crate::Result;
 
 /// A schema-checked collection of equally-long named columns.
@@ -212,11 +211,6 @@ impl DataFrame {
         Ok(self.take(&indices))
     }
 
-    /// Start a group-by over the given key columns.
-    pub fn group_by(&self, keys: &[&str]) -> Result<GroupBy<'_>> {
-        GroupBy::new(self, keys)
-    }
-
     /// Summary statistics of every numeric (f64) column: a new frame with
     /// one row per column and `count / mean / std / min / median / max`
     /// columns (NaNs skipped, pandas-style `describe`).
@@ -288,16 +282,6 @@ impl DataFrame {
         }
         out.n_rows += other.n_rows;
         Ok(out)
-    }
-
-    /// Internal: group key string for a row over several key columns.
-    pub(crate) fn row_key(&self, row: usize, key_cols: &[&Column]) -> String {
-        let mut key = String::new();
-        for col in key_cols {
-            key.push_str(&col.group_key(row));
-            key.push('\u{1f}'); // unit separator — cannot collide with data
-        }
-        key
     }
 }
 

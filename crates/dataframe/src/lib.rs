@@ -9,9 +9,6 @@
 //! * typed columns ([`Column`]: `f64`, `i64`, `String`, `bool`),
 //! * a [`DataFrame`] with schema-checked construction,
 //! * boolean-mask filtering and row selection,
-//! * group-by with the aggregations the paper uses (count, mean, median,
-//!   quantile, min, max, sum),
-//! * inner/left joins on a key column (measurements × per-user tables),
 //! * stable multi-key sorting, and
 //! * CSV import/export for interop with external plotting.
 //!
@@ -24,8 +21,6 @@ pub mod csv;
 pub mod error;
 pub mod frag;
 pub mod frame;
-pub mod groupby;
-pub mod join;
 pub mod selection;
 pub mod shared;
 
@@ -33,8 +28,6 @@ pub use column::{Column, DType, Value};
 pub use error::FrameError;
 pub use frag::{FragCol, FragSelection};
 pub use frame::DataFrame;
-pub use groupby::{Agg, GroupBy};
-pub use join::{join, JoinKind};
 pub use selection::ColumnView;
 pub use selection::Selection;
 pub use shared::Shared;

@@ -1,7 +1,7 @@
 //! Property-based tests for the data-frame substrate.
 
 use proptest::prelude::*;
-use st_dataframe::{csv, Agg, Column, DataFrame};
+use st_dataframe::{csv, Column, DataFrame};
 
 fn frame_strategy() -> impl Strategy<Value = DataFrame> {
     (1usize..60).prop_flat_map(|n| {
@@ -59,31 +59,6 @@ proptest! {
         a.sort_by(|x, y| x.partial_cmp(y).unwrap());
         b.sort_by(|x, y| x.partial_cmp(y).unwrap());
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn groupby_counts_cover_all_rows(df in frame_strategy()) {
-        let gb = df.group_by(&["tier"]).unwrap();
-        let total: usize = gb.iter().map(|(_, rows)| rows.len()).sum();
-        prop_assert_eq!(total, df.n_rows());
-        let agg = gb.agg(&[("down", Agg::Count)]).unwrap();
-        let count_sum: f64 = agg.f64("down_count").unwrap().iter().sum();
-        prop_assert_eq!(count_sum as usize, df.n_rows());
-    }
-
-    #[test]
-    fn group_means_are_bounded_by_group_extremes(df in frame_strategy()) {
-        let agg = df
-            .group_by(&["city"]).unwrap()
-            .agg(&[("down", Agg::Mean), ("down", Agg::Min), ("down", Agg::Max)])
-            .unwrap();
-        let means = agg.f64("down_mean").unwrap();
-        let mins = agg.f64("down_min").unwrap();
-        let maxs = agg.f64("down_max").unwrap();
-        for i in 0..agg.n_rows() {
-            prop_assert!(means[i] >= mins[i] - 1e-9);
-            prop_assert!(means[i] <= maxs[i] + 1e-9);
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   joint-`<download, upload>`-clustering ablation of BST's hierarchy.
 //!
 //! Supporting modules provide descriptive statistics ([`describe`], including
-//! the paper's *consistency factor*, §4.1), empirical CDFs ([`ecdf`]) for
-//! every CDF figure in the paper, and histograms ([`hist`]).
+//! the paper's *consistency factor*, §4.1) and empirical CDFs ([`ecdf`]) for
+//! every CDF figure in the paper.
 //!
 //! All estimators are deterministic given an explicit RNG, which the rest of
 //! the workspace threads through from a single seed so experiments are
@@ -30,7 +30,6 @@ pub mod ecdf;
 pub mod error;
 pub mod gmm;
 pub mod gmm2d;
-pub mod hist;
 pub mod kde;
 pub mod kmeans;
 pub mod ks;
@@ -41,7 +40,6 @@ pub use ecdf::Ecdf;
 pub use error::StatsError;
 pub use gmm::{GaussianMixture, GmmConfig, GmmFit};
 pub use gmm2d::{Cov2, GaussianMixture2d};
-pub use hist::Histogram;
 pub use kde::{Bandwidth, KernelDensity};
 pub use kmeans::{kmeans_1d, KMeansResult};
 pub use ks::{ks_test, KsTest};

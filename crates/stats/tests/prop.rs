@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use st_stats::{
-    consistency_factor, mean, quantile, Bandwidth, Ecdf, GaussianMixture, GmmConfig, Histogram,
-    KernelDensity, Summary,
+    consistency_factor, mean, quantile, Bandwidth, Ecdf, GaussianMixture, GmmConfig, KernelDensity,
+    Summary,
 };
 
 /// Strategy: a non-empty vector of plausible speed values.
@@ -97,18 +97,6 @@ proptest! {
         }
         // Grid covers ±3 bandwidths past the data, so ≥ 99% of the mass.
         prop_assert!((0.9..=1.1).contains(&integral), "integral {integral}");
-    }
-
-    #[test]
-    fn histogram_conserves_counts(data in speeds(), bins in 1usize..40) {
-        let h = Histogram::from_data(&data, bins).unwrap();
-        let binned: u64 = h.counts().iter().sum();
-        prop_assert_eq!(
-            binned + h.underflow() + h.overflow(),
-            data.len() as u64
-        );
-        let frac_sum: f64 = h.fractions().iter().sum();
-        prop_assert!((frac_sum - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | [`netsim`] | `st-netsim` | flow-level path simulator: access link, 802.11 WiFi, device constraints, round-based TCP |
 //! | [`speedtest`] | `st-speedtest` | plan catalogs, measurement schema, Ookla/NDT methodologies, NDT pairing, a real-socket loopback speed test |
 //! | [`datagen`] | `st-datagen` | synthetic Ookla / M-Lab / MBA campaigns for the four-city study |
-//! | [`dataframe`] | `st-dataframe` | typed columnar frames with filter/group-by/CSV |
+//! | [`dataframe`] | `st-dataframe` | typed columnar frames with filter/sort/CSV |
 //! | [`analysis`] | `st-analysis` | one module per paper table/figure |
 //! | [`viz`] | `st-viz` | SVG and ASCII rendering |
 //!
