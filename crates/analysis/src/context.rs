@@ -5,7 +5,7 @@
 //! per-platform cluster means), so [`CityAnalysis`] fits one model per
 //! Ookla platform, one for the M-Lab campaign, and one for the MBA panel,
 //! then scatters tier and plan-cap assignments onto the stores as
-//! derived columns ([`st_speedtest::AssignedColumns`] per segment).
+//! assigned columns ([`st_speedtest::SegmentedStore::set_assignments`]).
 //! Figure and table modules read the stores through
 //! [`st_speedtest::FragSelection`]s and segmented column getters;
 //! nothing downstream clones `Vec<Measurement>` rows or assumes one

@@ -1,36 +1,24 @@
 #![warn(missing_docs)]
-//! A small typed columnar data-frame.
+//! Row selections and segment-aware column views.
 //!
-//! The paper's analyses are pandas/polars-style pipelines over ~1.5M
-//! measurement rows: filter by platform, group by tier, aggregate medians.
-//! No such tooling is available offline in Rust, so this crate provides the
-//! minimal substrate those pipelines need:
+//! The paper's analyses slice ~1.5M measurement rows by platform, tier,
+//! access type, band and memory, then aggregate one column of the slice.
+//! This crate holds the small substrate those slices need, over columns
+//! owned by the campaign store:
 //!
-//! * typed columns ([`Column`]: `f64`, `i64`, `String`, `bool`),
-//! * a [`DataFrame`] with schema-checked construction,
-//! * boolean-mask filtering and row selection,
-//! * stable multi-key sorting, and
-//! * CSV import/export for interop with external plotting.
+//! * [`Selection`] — an ascending row-index set built from a predicate
+//!   or a mask, composable with `and` / `or` / `refine`;
+//! * [`ColumnView`] — a gathered column that borrows the source when the
+//!   selection is the identity and copies only true subsets;
+//! * [`FragCol`] / [`FragSelection`] — the same two ideas over a column
+//!   that lives in several consecutive segment slices.
 //!
-//! Design note: columns are dense (no null bitmap). Missing numeric data is
-//! represented as `f64::NAN` and aggregations skip NaNs explicitly, which is
-//! the same contract the paper's Python stack uses by default.
+//! Columns are dense (no null bitmap). Missing numeric data is
+//! represented as `f64::NAN` and gathers that feed statistics skip it
+//! explicitly (`gather_finite`).
 
-pub mod column;
-pub mod csv;
-pub mod error;
 pub mod frag;
-pub mod frame;
 pub mod selection;
-pub mod shared;
 
-pub use column::{Column, DType, Value};
-pub use error::FrameError;
 pub use frag::{FragCol, FragSelection};
-pub use frame::DataFrame;
-pub use selection::ColumnView;
-pub use selection::Selection;
-pub use shared::Shared;
-
-/// Result alias for data-frame operations.
-pub type Result<T> = std::result::Result<T, FrameError>;
+pub use selection::{ColumnView, Selection};

@@ -25,8 +25,8 @@
 //!   plus dirty-measurement corruption (aborted/truncated tests, zero and
 //!   NaN throughput, duplicate submissions, clock skew) so the
 //!   sanitization stage can be scored against known labels.
-//! * [`scenario`] — one-call generation of a full city dataset plus
-//!   conversion into `st-dataframe` frames for analysis.
+//! * [`scenario`] — one-call generation of a full city dataset (the
+//!   Ookla and M-Lab campaigns plus the state's MBA panel).
 //!
 //! Everything is deterministic given a seed: the same `(city, scale,
 //! seed)` triple always yields the same measurements — at *every*
@@ -48,4 +48,4 @@ pub use crowd::{generate_mlab, generate_mlab_chunked, generate_ookla, generate_o
 pub use faults::{inject, inject_dirty, DirtyKind, DirtyLabel, DirtyScenario, FaultScenario};
 pub use mba::{generate_mba, generate_mba_chunked};
 pub use population::{Population, UserProfile};
-pub use scenario::{measurements_to_frame, CityDataset};
+pub use scenario::CityDataset;

@@ -1,4 +1,4 @@
-//! One-call city dataset generation and data-frame conversion.
+//! One-call city dataset generation.
 
 use crate::city::{City, CityConfig};
 use crate::crowd::{generate_mlab_chunked, generate_ookla_chunked};
@@ -7,7 +7,6 @@ use crate::par;
 use crate::population::{mlab_tier_weights, tier_weights, Population};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use st_dataframe::DataFrame;
 use st_speedtest::Measurement;
 
 /// A complete generated dataset for one city: the two crowdsourced
@@ -175,15 +174,6 @@ impl CityDataset {
     }
 }
 
-/// Convert measurements to a data frame with one column per record field.
-///
-/// Missing numeric metadata becomes NaN; missing tier truth becomes -1.
-/// Thin wrapper over the columnar [`st_speedtest::CampaignStore`]'s frame
-/// conversion, so the CSV-export schema has exactly one definition.
-pub fn measurements_to_frame(ms: &[Measurement]) -> DataFrame {
-    st_speedtest::CampaignStore::from_measurements(ms).to_frame()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,35 +213,5 @@ mod tests {
         let a = CityDataset::generate(City::A, 0.001, 1);
         let b = CityDataset::generate(City::A, 0.001, 2);
         assert_ne!(a.ookla, b.ookla);
-    }
-
-    #[test]
-    fn frame_round_trips_schema() {
-        let ds = CityDataset::generate(City::D, 0.001, 3);
-        let df = measurements_to_frame(&ds.ookla);
-        assert_eq!(df.n_rows(), ds.ookla.len());
-        assert_eq!(df.n_cols(), 16);
-        // Spot-check a few columns.
-        assert_eq!(df.f64("down_mbps").unwrap()[0], ds.ookla[0].down_mbps);
-        assert_eq!(df.i64("truth_tier").unwrap()[0], ds.ookla[0].truth_tier.unwrap() as i64);
-        let vendors = df.str("vendor").unwrap();
-        assert!(vendors.iter().all(|v| v == "Ookla"));
-    }
-
-    #[test]
-    fn frame_handles_missing_metadata() {
-        let ds = CityDataset::generate(City::A, 0.001, 5);
-        let df = measurements_to_frame(&ds.mlab);
-        let mem = df.f64("memory_gb").unwrap();
-        assert!(mem.iter().all(|v| v.is_nan()), "NDT web never reports memory");
-        let access = df.str("access").unwrap();
-        assert!(access.iter().all(|a| a == "unknown"));
-    }
-
-    #[test]
-    fn empty_measurement_list_yields_empty_frame() {
-        let df = measurements_to_frame(&[]);
-        assert_eq!(df.n_rows(), 0);
-        assert_eq!(df.n_cols(), 16);
     }
 }

@@ -9,7 +9,8 @@
 //!   methodology recovers from data.
 //! * [`record`] — the [`Measurement`] schema: one speed test with its
 //!   vendor, platform, QoS results, and the local-context metadata the
-//!   paper argues must accompany every test.
+//!   paper argues must accompany every test, plus [`write_csv`], the
+//!   16-column CSV export of a campaign.
 //! * [`methodology`] — the [`Methodology`] trait plus the two vendor
 //!   implementations: [`OoklaMethodology`] (multi-connection, ramp-up
 //!   discarded) and [`NdtMethodology`] (single connection, whole-transfer
@@ -17,17 +18,17 @@
 //! * [`pairing`] — M-Lab's download/upload association: NDT reports the two
 //!   directions as separate tests, so the paper pairs them with a 120 s
 //!   window per client/server pair (§3.2); implemented here.
-//! * [`store`] — the columnar [`CampaignStore`]: one campaign as typed
-//!   columns with lazily memoized derived context (time bin, access
-//!   class, WiFi band, memory class) and cheap composable row
-//!   [`Selection`]s, so analyses scan contiguous columns instead of
-//!   cloning `Vec<Measurement>` rows.
-//! * [`segment`] — the [`SegmentedStore`]: sealed immutable segments
-//!   (each a write-once [`CampaignStore`]) plus a mutable tail that
-//!   absorbs appended measurement chunks, sanitizes them incrementally,
-//!   and seals deterministically — the shared storage engine behind the
-//!   batch repro and the incremental ingest front-end.
-//! * [`sanitize`] — the record quarantine stage: every measurement
+//! * [`segment`] — the [`SegmentedStore`], the one columnar campaign
+//!   store: sealed immutable segments with lazily memoized derived
+//!   context (time bin, access class, WiFi band, memory class) and cheap
+//!   composable row [`Selection`]s, plus a mutable tail that absorbs
+//!   appended measurement chunks, sanitizes them incrementally, and
+//!   seals deterministically — the storage engine behind the batch
+//!   repro, chunked ingest and the live service. Analyses scan
+//!   contiguous columns instead of cloning `Vec<Measurement>` rows.
+//! * [`store`] — the dense access / band / memory codes of the derived
+//!   columns, and [`StoreError`].
+//! * [`sanitize`](mod@sanitize) — the record quarantine stage: every measurement
 //!   entering an analysis is classified clean / repaired / quarantined
 //!   against a structured error taxonomy, with per-reason counters, so
 //!   dirty crowdsourced records degrade the dataset instead of crashing
@@ -65,7 +66,7 @@ pub use load::{run_load, LoadOptions, LoadSummary, PlannedOutcome, SessionReport
 pub use methodology::{FastMethodology, Methodology, NdtMethodology, OoklaMethodology, TestResult};
 pub use pairing::{pair_ndt_tests, NdtEvent, NdtPair};
 pub use plans::{Plan, PlanCatalog, TierGroup};
-pub use record::{Access, Measurement, Platform, Vendor};
+pub use record::{write_csv, Access, Measurement, Platform, Vendor};
 pub use retry::{Admission, BackoffSchedule, BreakerState, CircuitBreaker};
 pub use sanitize::{
     classify, sanitize, sanitize_with_seen, Classification, QuarantineReason, RepairReason,
@@ -74,4 +75,4 @@ pub use sanitize::{
 pub use scoring::{score, QualityScores, SessionQuality};
 pub use segment::{ChunkStats, SegmentedStore, DEFAULT_SEAL_ROWS};
 pub use st_dataframe::{FragCol, FragSelection, Selection};
-pub use store::{AssignedColumns, CampaignStore, StoreError};
+pub use store::StoreError;

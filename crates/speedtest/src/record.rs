@@ -188,6 +188,65 @@ impl Measurement {
     }
 }
 
+/// Column names of the CSV export, in order: one column per record field,
+/// with the access medium split into `access` / `band` / `rssi_dbm` and
+/// the platform's vendor spelled out.
+const CSV_HEADER: [&str; 16] = [
+    "id",
+    "user_id",
+    "platform",
+    "vendor",
+    "city",
+    "day",
+    "hour",
+    "down_mbps",
+    "up_mbps",
+    "rtt_ms",
+    "loaded_rtt_ms",
+    "access",
+    "band",
+    "rssi_dbm",
+    "memory_gb",
+    "truth_tier",
+];
+
+/// Write `ms` as CSV: a header row naming the 16 columns, then one
+/// `\n`-terminated line per measurement. Numbers use their `Display` text; missing
+/// memory and non-WiFi RSSI are `NaN`, a missing truth tier is `-1`, and
+/// non-WiFi rows have an empty band. No label contains `,`, `"` or a
+/// newline, so cells are never quoted.
+pub fn write_csv(ms: &[Measurement], out: &mut impl std::io::Write) -> std::io::Result<()> {
+    writeln!(out, "{}", CSV_HEADER.join(","))?;
+    for m in ms {
+        let (access, band, rssi) = match m.access {
+            Access::Wifi { band, rssi_dbm } => ("wifi", band.label(), rssi_dbm),
+            Access::Ethernet => ("ethernet", "", f64::NAN),
+            Access::Unknown => ("unknown", "", f64::NAN),
+        };
+        writeln!(
+            out,
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            m.id,
+            m.user_id,
+            m.platform.label(),
+            m.vendor().label(),
+            m.city,
+            m.day,
+            m.hour,
+            m.down_mbps,
+            m.up_mbps,
+            m.rtt_ms,
+            m.loaded_rtt_ms,
+            access,
+            band,
+            rssi,
+            m.kernel_memory_gb.unwrap_or(f64::NAN),
+            m.truth_tier.map_or(-1, |t| t as i64),
+        )?;
+    }
+    Ok(())
+}
+
 /// Month index 0..12 for a 0-based day of year (non-leap year). Shared
 /// between [`Measurement::month`] and the store's derived month column.
 pub fn month_of_day(day: u16) -> usize {
@@ -297,6 +356,76 @@ mod tests {
         assert!(json.contains("\"down_mbps\":95.0"));
         assert!(json.contains("AndroidApp"));
         assert!(json.contains("rssi_dbm"));
+    }
+
+    fn csv(ms: &[Measurement]) -> String {
+        let mut out = Vec::new();
+        write_csv(ms, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn csv_header_names_sixteen_columns() {
+        let text = csv(&[base()]);
+        let mut lines = text.lines();
+        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+        assert_eq!(header, CSV_HEADER);
+        let row: Vec<&str> = lines.next().unwrap().split(',').collect();
+        assert_eq!(row.len(), 16);
+        assert_eq!(
+            row,
+            [
+                "1",
+                "10",
+                "Android-App",
+                "Ookla",
+                "0",
+                "0",
+                "13",
+                "95",
+                "5.1",
+                "14",
+                "21",
+                "wifi",
+                "5 GHz",
+                "-55",
+                "7.2",
+                "2"
+            ]
+        );
+        assert!(text.ends_with("\n"));
+    }
+
+    #[test]
+    fn csv_marks_missing_metadata() {
+        let mut web = base();
+        web.platform = Platform::NdtWeb;
+        web.access = Access::Unknown;
+        web.kernel_memory_gb = None;
+        web.truth_tier = None;
+        let mut wired = base();
+        wired.access = Access::Ethernet;
+        let text = csv(&[web, wired]);
+        let rows: Vec<Vec<&str>> = text.lines().skip(1).map(|l| l.split(',').collect()).collect();
+        assert_eq!(rows[0][3..4], ["M-Lab"]);
+        assert_eq!(rows[0][11..], ["unknown", "", "NaN", "NaN", "-1"]);
+        assert_eq!(rows[1][11..14], ["ethernet", "", "NaN"]);
+    }
+
+    #[test]
+    fn csv_of_no_rows_is_the_header_alone() {
+        assert_eq!(csv(&[]), format!("{}\n", CSV_HEADER.join(",")));
+    }
+
+    #[test]
+    fn csv_labels_need_no_quoting() {
+        let platforms = Platform::all().into_iter().chain([Platform::MbaUnit]);
+        let labels = platforms
+            .flat_map(|p| [p.label(), p.vendor().label()])
+            .chain([Band::G2_4.label(), Band::G5.label()]);
+        for label in labels {
+            assert!(!label.contains([',', '"', '\n']), "{label:?} would need CSV quoting");
+        }
     }
 
     #[test]

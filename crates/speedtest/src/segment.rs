@@ -1,15 +1,13 @@
 //! Segmented campaign store: sealed immutable segments + a mutable tail.
 //!
-//! A monolithic [`CampaignStore`] is write-once: columns are built in
-//! one shot from a complete campaign, which is exactly right for the
-//! batch repro but a dead end for continuous crowdsourced arrival
-//! (ROADMAP item 1). A [`SegmentedStore`] keeps the write-once
-//! invariants — per *segment*: each sealed segment is a full
-//! [`CampaignStore`] with its own memoized derived columns and
-//! write-once `AssignedColumns` — while the **mutable tail** buffers
-//! appended measurement chunks, sanitizes them incrementally (one
-//! seen-id set threaded across chunks so cross-chunk duplicates
-//! classify exactly as a batch pass would), and seals deterministically.
+//! A [`SegmentedStore`] is the one store behind the batch repro, chunked
+//! ingest and the live service. Each sealed segment is a write-once
+//! columnar block with its own memoized derived columns and write-once
+//! assigned columns (the crate-private `CampaignStore`), while the
+//! **mutable tail** buffers appended measurement chunks, sanitizes them
+//! incrementally (one seen-id set threaded across chunks so cross-chunk
+//! duplicates classify exactly as a batch pass would), and seals
+//! deterministically.
 //!
 //! ## Seal determinism
 //!
@@ -27,16 +25,15 @@
 //!
 //! Column getters return [`FragCol`]s chaining the per-segment slices;
 //! selections return [`FragSelection`]s composing the per-segment
-//! memoized [`Selection`]s. A batch-built store
-//! ([`SegmentedStore::from_store`]) has exactly one segment, so every
-//! view is a single borrowed fragment and the PR 6 zero-copy paths
-//! (identity `gather_view`, `to_frame` Arc-aliasing) are preserved
-//! bit-for-bit.
+//! memoized [`st_dataframe::Selection`]s. A batch-built store
+//! ([`SegmentedStore::from_measurements`]) has exactly one segment, so
+//! every view is a single borrowed fragment and an identity
+//! `gather_view` borrows the column without copying.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
 
-use st_dataframe::{DataFrame, FragCol, FragSelection};
+use st_dataframe::{FragCol, FragSelection};
 
 use crate::plans::PlanCatalog;
 use crate::record::{Access, Measurement, Platform};
@@ -95,16 +92,10 @@ impl SegmentedStore {
     /// Wrap one already-sanitized campaign as a single sealed segment —
     /// the batch path. No sanitize runs here (the batch pipeline
     /// sanitizes upstream), and with exactly one segment every column
-    /// view borrows one contiguous slice, preserving the monolithic
-    /// store's zero-copy behavior.
+    /// view borrows one contiguous slice.
     pub fn from_measurements(ms: &[Measurement]) -> Self {
-        Self::from_store(CampaignStore::from_measurements(ms))
-    }
-
-    /// Wrap an existing monolithic store as a single sealed segment.
-    pub fn from_store(store: CampaignStore) -> Self {
         SegmentedStore {
-            segments: vec![store],
+            segments: vec![CampaignStore::from_measurements(ms)],
             tail: Vec::new(),
             seen: HashSet::new(),
             report: SanitizeReport::default(),
@@ -184,21 +175,21 @@ impl SegmentedStore {
         let mut rows = Vec::with_capacity(self.len());
         for seg in &self.segments {
             for i in 0..seg.len() {
-                let mem = seg.kernel_memory_gb()[i];
+                let mem = seg.kernel_memory_gb[i];
                 rows.push(Measurement {
-                    id: seg.id()[i],
-                    user_id: seg.user_id()[i],
-                    platform: seg.platform()[i],
-                    city: seg.city()[i],
-                    day: seg.day()[i],
-                    hour: seg.hour()[i],
-                    down_mbps: seg.down()[i],
-                    up_mbps: seg.up()[i],
-                    rtt_ms: seg.rtt()[i],
-                    loaded_rtt_ms: seg.loaded_rtt()[i],
-                    access: seg.access()[i],
+                    id: seg.id[i],
+                    user_id: seg.user_id[i],
+                    platform: seg.platform[i],
+                    city: seg.city[i],
+                    day: seg.day[i],
+                    hour: seg.hour[i],
+                    down_mbps: seg.down[i],
+                    up_mbps: seg.up[i],
+                    rtt_ms: seg.rtt[i],
+                    loaded_rtt_ms: seg.loaded_rtt[i],
+                    access: seg.access[i],
                     kernel_memory_gb: (!mem.is_nan()).then_some(mem),
-                    truth_tier: seg.truth_tier()[i],
+                    truth_tier: seg.truth_tier[i],
                 });
             }
         }
@@ -231,11 +222,6 @@ impl SegmentedStore {
         self.frozen
     }
 
-    /// The sealed segments, in seal order.
-    pub fn segments(&self) -> &[CampaignStore] {
-        &self.segments
-    }
-
     // ---- segmented column views -----------------------------------------
 
     /// Total rows across sealed segments (tail rows are not readable
@@ -259,67 +245,67 @@ impl SegmentedStore {
 
     /// Test ids.
     pub fn id(&self) -> FragCol<'_, u64> {
-        self.frag_col(|s| s.id())
+        self.frag_col(|s| &s.id)
     }
 
     /// Per-user ids.
     pub fn user_id(&self) -> FragCol<'_, u64> {
-        self.frag_col(|s| s.user_id())
+        self.frag_col(|s| &s.user_id)
     }
 
     /// Platform per row.
     pub fn platform(&self) -> FragCol<'_, Platform> {
-        self.frag_col(|s| s.platform())
+        self.frag_col(|s| &s.platform)
     }
 
     /// City index per row.
     pub fn city(&self) -> FragCol<'_, u8> {
-        self.frag_col(|s| s.city())
+        self.frag_col(|s| &s.city)
     }
 
     /// Day of year per row.
     pub fn day(&self) -> FragCol<'_, u16> {
-        self.frag_col(|s| s.day())
+        self.frag_col(|s| &s.day)
     }
 
     /// Local hour per row.
     pub fn hour(&self) -> FragCol<'_, u8> {
-        self.frag_col(|s| s.hour())
+        self.frag_col(|s| &s.hour)
     }
 
     /// Download speeds, Mbps.
     pub fn down(&self) -> FragCol<'_, f64> {
-        self.frag_col(|s| s.down())
+        self.frag_col(|s| &s.down)
     }
 
     /// Upload speeds, Mbps.
     pub fn up(&self) -> FragCol<'_, f64> {
-        self.frag_col(|s| s.up())
+        self.frag_col(|s| &s.up)
     }
 
     /// Idle round-trip times, ms.
     pub fn rtt(&self) -> FragCol<'_, f64> {
-        self.frag_col(|s| s.rtt())
+        self.frag_col(|s| &s.rtt)
     }
 
     /// Loaded round-trip times, ms.
     pub fn loaded_rtt(&self) -> FragCol<'_, f64> {
-        self.frag_col(|s| s.loaded_rtt())
+        self.frag_col(|s| &s.loaded_rtt)
     }
 
     /// Access medium per row.
     pub fn access(&self) -> FragCol<'_, Access> {
-        self.frag_col(|s| s.access())
+        self.frag_col(|s| &s.access)
     }
 
     /// Kernel memory, GB (NaN when the platform reported none).
     pub fn kernel_memory_gb(&self) -> FragCol<'_, f64> {
-        self.frag_col(|s| s.kernel_memory_gb())
+        self.frag_col(|s| &s.kernel_memory_gb)
     }
 
     /// Ground-truth tier per row (generator-known; evaluation only).
     pub fn truth_tier(&self) -> FragCol<'_, Option<usize>> {
-        self.frag_col(|s| s.truth_tier())
+        self.frag_col(|s| &s.truth_tier)
     }
 
     // ---- derived columns (per-segment memoized) --------------------------
@@ -504,24 +490,6 @@ impl SegmentedStore {
         }
         counts
     }
-
-    // ---- interop --------------------------------------------------------
-
-    /// Convert the campaign to the canonical 16-column data frame. A
-    /// single-segment (batch) store delegates to
-    /// [`CampaignStore::to_frame`], keeping its `f64` columns aliased
-    /// Arc-bump zero-copy; a multi-segment store concatenates segment
-    /// frames row-wise in seal order, byte-identical column by column.
-    pub fn to_frame(&self) -> DataFrame {
-        if self.segments.len() == 1 {
-            return self.segments[0].to_frame();
-        }
-        let mut frames = self.segments.iter().map(|s| s.to_frame());
-        let first = frames.next().expect("frozen store has at least one segment");
-        frames.fold(first, |acc, f| {
-            acc.vstack(&f).expect("segment frames share the canonical schema")
-        })
-    }
 }
 
 #[cfg(test)]
@@ -529,7 +497,7 @@ mod tests {
     use super::*;
     use crate::record::Platform;
     use crate::sanitize::sanitize;
-    use st_dataframe::Selection;
+    use st_dataframe::ColumnView;
     use st_netsim::Band;
 
     fn m(id: u64) -> Measurement {
@@ -587,11 +555,11 @@ mod tests {
         let a = ingest(&stream, 7, 16);
         let b = ingest(&stream, 33, 16);
         assert_eq!(a.num_segments(), b.num_segments(), "boundaries independent of chunk size");
-        for (x, y) in a.segments().iter().zip(b.segments()) {
-            assert_eq!(x.id(), y.id());
+        for (x, y) in a.segments.iter().zip(&b.segments) {
+            assert_eq!(x.id, y.id);
         }
         // Every non-final segment holds exactly seal_rows rows.
-        for s in &a.segments()[..a.num_segments() - 1] {
+        for s in &a.segments[..a.num_segments() - 1] {
             assert_eq!(s.len(), 16);
         }
     }
@@ -600,16 +568,16 @@ mod tests {
     fn chunked_ingest_matches_monolithic_store() {
         let stream = dirty_stream(80);
         let (kept, batch_report) = sanitize(stream.clone());
-        let mono = CampaignStore::from_measurements(&kept);
+        let mono = SegmentedStore::from_measurements(&kept);
         for (chunk, seal) in [(1, 7), (9, 7), (80, 7), (5, 1000)] {
             let seg = ingest(&stream, chunk, seal);
             assert_eq!(seg.len(), mono.len());
             assert_eq!(seg.report(), &batch_report, "chunk {chunk} seal {seal}");
-            assert_eq!(seg.id().to_vec(), mono.id());
-            assert_eq!(seg.down().to_vec(), mono.down());
-            assert_eq!(seg.time_bin().to_vec(), mono.time_bin());
-            assert_eq!(seg.month().to_vec(), mono.month());
-            assert_eq!(seg.memory_class().to_vec(), mono.memory_class());
+            assert_eq!(seg.id().to_vec(), mono.id().to_vec());
+            assert_eq!(seg.down().to_vec(), mono.down().to_vec());
+            assert_eq!(seg.time_bin().to_vec(), mono.time_bin().to_vec());
+            assert_eq!(seg.month().to_vec(), mono.month().to_vec());
+            assert_eq!(seg.memory_class().to_vec(), mono.memory_class().to_vec());
             let sel: Vec<usize> = seg.platform_sel(Platform::AndroidApp).iter().collect();
             let mono_sel: Vec<usize> = mono.platform_sel(Platform::AndroidApp).iter().collect();
             assert_eq!(sel, mono_sel);
@@ -696,44 +664,28 @@ mod tests {
             Err(StoreError::AssignmentsAlreadySet)
         );
         // Per-segment scatter equals the monolithic scatter.
-        let mono = CampaignStore::from_measurements(&stream);
+        let mono = SegmentedStore::from_measurements(&stream);
         mono.set_assignments(tiers, caps, &catalog).unwrap();
-        assert_eq!(store.group_idx().to_vec(), mono.assigned().group_idx);
+        assert_eq!(store.group_idx().to_vec(), mono.group_idx().to_vec());
         let bits: Vec<u64> = store.normalized_down().iter().map(|v| v.to_bits()).collect();
-        let mono_bits: Vec<u64> =
-            mono.assigned().normalized_down.iter().map(|v| v.to_bits()).collect();
+        let mono_bits: Vec<u64> = mono.normalized_down().iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits, mono_bits, "normalized_down bit-identical incl. NaN rows");
         let all = store.from_pred(|_| true);
-        assert_eq!(store.cap_counts(&all), mono.cap_counts(&Selection::all(mono.len())));
+        assert_eq!(store.cap_counts(&all), mono.cap_counts(&mono.from_pred(|_| true)));
         let g0: Vec<usize> = store.group_sel(0).iter().collect();
-        let mono_g0: Vec<usize> = mono.assigned().group_sels[0].iter().collect();
+        let mono_g0: Vec<usize> = mono.group_sel(0).iter().collect();
         assert_eq!(g0, mono_g0);
     }
 
     #[test]
-    fn multi_segment_to_frame_matches_monolithic() {
-        let stream: Vec<Measurement> = (0..25).map(m).collect();
-        let seg = ingest(&stream, 4, 7);
-        assert!(seg.num_segments() > 1);
-        let mono = CampaignStore::from_measurements(&stream).to_frame();
-        let framed = seg.to_frame();
-        assert_eq!(framed.n_rows(), mono.n_rows());
-        assert_eq!(framed.names(), mono.names());
-        let a = st_dataframe::csv::to_csv(&framed).unwrap();
-        let b = st_dataframe::csv::to_csv(&mono).unwrap();
-        assert_eq!(a, b, "multi-segment frame must concatenate byte-identically");
-    }
-
-    #[test]
-    fn single_segment_to_frame_stays_zero_copy() {
+    fn single_segment_views_borrow_the_column() {
         let stream: Vec<Measurement> = (0..10).map(m).collect();
         let seg = SegmentedStore::from_measurements(&stream);
-        let df = seg.to_frame();
-        let store_col = seg.segments()[0].down();
-        let exported = df.f64("down_mbps").unwrap();
-        assert!(
-            std::ptr::eq(exported.as_ptr(), store_col.as_ptr()),
-            "batch path must keep the Arc-aliasing zero-copy export"
-        );
+        let stored = seg.segments[0].down.as_ptr();
+        let all = seg.from_pred(|_| true);
+        for view in [seg.down().view(), all.gather_view(&seg.down())] {
+            assert!(matches!(view, ColumnView::Borrowed(_)), "batch view must not copy");
+            assert!(std::ptr::eq(view.as_ptr(), stored));
+        }
     }
 }

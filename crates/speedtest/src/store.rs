@@ -1,15 +1,14 @@
-//! Columnar campaign store: one typed-column representation of a
-//! measurement campaign, shared from data generation to report rendering.
+//! The columnar segment behind [`crate::SegmentedStore`], plus the
+//! dense codes its derived columns use.
 //!
 //! The paper's contextualization analyses are all slices of the same
 //! corpus — by platform, tier, access type, WiFi band, hour, and memory
-//! (PAPER §4–§6). Row-oriented `Vec<Measurement>` scans forced every
-//! figure module to re-walk the campaign with its own
-//! `iter().filter().collect()` chain and clone rows along the way. A
-//! [`CampaignStore`] instead holds each campaign as contiguous columns
-//! (`f64` / `u8` / small enums) so a figure expresses
-//! "Android + WiFi-2.4GHz + tier k" as one predicate pass producing a
-//! [`Selection`], then gathers just the column it needs.
+//! (PAPER §4–§6). A `CampaignStore` holds one sealed segment of a
+//! campaign as contiguous columns (`f64` / `u8` / small enums) so a
+//! figure expresses "Android + WiFi-2.4GHz + tier k" as one predicate
+//! pass producing a [`Selection`], then gathers just the column it needs.
+//! It is crate-private: analyses read columns through the segmented
+//! store's `FragCol` / `FragSelection` views.
 //!
 //! Three kinds of columns live here:
 //!
@@ -22,19 +21,18 @@
 //!   base columns, materializing them from any thread (or in parallel
 //!   across campaigns) yields bit-identical results.
 //! * **Assigned columns** — the BST fit outputs (tier, plan cap, tier
-//!   group, plan-normalized download) scattered onto the store exactly
-//!   once via [`CampaignStore::set_assignments`] after the models fit.
+//!   group, plan-normalized download) scattered onto the segment exactly
+//!   once via `set_assignments` after the models fit.
 //!
 //! Determinism contract: selections keep row indices ascending, so a
 //! gather through a selection visits rows in the same order as the
 //! classic `iter().enumerate().filter()` chain — downstream statistics
-//! and rendered artifacts stay byte-identical to the row-oriented code
-//! this replaces.
+//! and rendered artifacts stay byte-identical to row-oriented code.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use st_dataframe::{Column, DataFrame, Selection, Shared};
+use st_dataframe::Selection;
 use st_netsim::MemoryClass;
 
 use crate::plans::PlanCatalog;
@@ -42,9 +40,9 @@ use crate::record::{Access, Measurement, Platform};
 
 /// Typed error for store mutations that violate a structural invariant.
 ///
-/// The monolithic store used to panic on these; the segmented store's
-/// incremental reseal paths need them recoverable, so every mutation
-/// entry point surfaces one of these variants instead.
+/// Every mutation entry point of [`crate::SegmentedStore`] surfaces one
+/// of these variants instead of panicking, so ingest and serve paths can
+/// recover from a bad append, freeze or scatter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// `set_assignments` was called on a store that already has
@@ -102,10 +100,10 @@ pub const BAND_5: u8 = 2;
 pub const MEMORY_NONE: u8 = 0;
 
 /// Number of distinct [`Platform`] variants (including MBA units).
-pub const N_PLATFORMS: usize = 7;
+const N_PLATFORMS: usize = 7;
 
 /// Dense code for a platform, used to index per-platform selections.
-pub fn platform_code(p: Platform) -> usize {
+fn platform_code(p: Platform) -> usize {
     match p {
         Platform::AndroidApp => 0,
         Platform::IosApp => 1,
@@ -128,23 +126,23 @@ pub fn memory_code(class: MemoryClass) -> u8 {
 /// All vectors are parallel to the base columns. Rows the fit never
 /// assigned carry `None` / `-1` / NaN, so every consumer can branch on
 /// one column instead of re-deriving "was this row assigned".
-pub struct AssignedColumns {
+pub(crate) struct AssignedColumns {
     /// Assigned subscription tier (1-based into the plan catalog).
-    pub tier: Vec<Option<usize>>,
+    pub(crate) tier: Vec<Option<usize>>,
     /// Index of the matched upload cap in `catalog.upload_caps()`, or -1.
-    pub upload_cap_idx: Vec<i32>,
+    pub(crate) upload_cap_idx: Vec<i32>,
     /// Index of the tier group containing the assigned tier, or -1.
-    pub group_idx: Vec<i32>,
+    pub(crate) group_idx: Vec<i32>,
     /// Advertised download speed of the assigned tier's plan (NaN if
     /// unassigned).
-    pub plan_down: Vec<f64>,
+    pub(crate) plan_down: Vec<f64>,
     /// Download normalized by the plan speed, clamped to `[0, 1]`
     /// (NaN if unassigned), as in the paper's figures.
-    pub normalized_down: Vec<f64>,
+    pub(crate) normalized_down: Vec<f64>,
     /// Memoized selection of rows per tier group (ascending group index).
-    pub group_sels: Vec<Selection>,
+    pub(crate) group_sels: Vec<Selection>,
     /// Memoized selection of rows per upload cap (ascending cap index).
-    pub cap_sels: Vec<Selection>,
+    pub(crate) cap_sels: Vec<Selection>,
 }
 
 /// Lazily built, memoized derived columns (pure functions of the base
@@ -163,25 +161,22 @@ struct DerivedColumns {
     native_sel: OnceLock<Selection>,
 }
 
-/// One measurement campaign as typed columns.
-///
-/// The `f64` base columns are [`Shared`] (copy-on-write): exporting them
-/// through [`CampaignStore::to_frame`] aliases the store's storage with an
-/// `Arc` bump instead of cloning ~n·5 floats per caller.
-pub struct CampaignStore {
-    id: Vec<u64>,
-    user_id: Vec<u64>,
-    platform: Vec<Platform>,
-    city: Vec<u8>,
-    day: Vec<u16>,
-    hour: Vec<u8>,
-    down: Shared<f64>,
-    up: Shared<f64>,
-    rtt: Shared<f64>,
-    loaded_rtt: Shared<f64>,
-    access: Vec<Access>,
-    kernel_memory_gb: Shared<f64>,
-    truth_tier: Vec<Option<usize>>,
+/// One sealed segment of a measurement campaign as typed columns. The
+/// segmented store reads the base columns directly.
+pub(crate) struct CampaignStore {
+    pub(crate) id: Vec<u64>,
+    pub(crate) user_id: Vec<u64>,
+    pub(crate) platform: Vec<Platform>,
+    pub(crate) city: Vec<u8>,
+    pub(crate) day: Vec<u16>,
+    pub(crate) hour: Vec<u8>,
+    pub(crate) down: Vec<f64>,
+    pub(crate) up: Vec<f64>,
+    pub(crate) rtt: Vec<f64>,
+    pub(crate) loaded_rtt: Vec<f64>,
+    pub(crate) access: Vec<Access>,
+    pub(crate) kernel_memory_gb: Vec<f64>,
+    pub(crate) truth_tier: Vec<Option<usize>>,
     derived: DerivedColumns,
     assigned: OnceLock<AssignedColumns>,
 }
@@ -225,12 +220,12 @@ impl CampaignStore {
             city,
             day,
             hour,
-            down: down.into(),
-            up: up.into(),
-            rtt: rtt.into(),
-            loaded_rtt: loaded_rtt.into(),
+            down,
+            up,
+            rtt,
+            loaded_rtt,
             access,
-            kernel_memory_gb: kernel_memory_gb.into(),
+            kernel_memory_gb,
             truth_tier,
             derived: DerivedColumns::default(),
             assigned: OnceLock::new(),
@@ -240,76 +235,6 @@ impl CampaignStore {
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.down.len()
-    }
-
-    /// True when the campaign has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.down.is_empty()
-    }
-
-    /// Test ids.
-    pub fn id(&self) -> &[u64] {
-        &self.id
-    }
-
-    /// Per-user ids.
-    pub fn user_id(&self) -> &[u64] {
-        &self.user_id
-    }
-
-    /// Platform per row.
-    pub fn platform(&self) -> &[Platform] {
-        &self.platform
-    }
-
-    /// City index per row.
-    pub fn city(&self) -> &[u8] {
-        &self.city
-    }
-
-    /// Day of year per row.
-    pub fn day(&self) -> &[u16] {
-        &self.day
-    }
-
-    /// Local hour per row.
-    pub fn hour(&self) -> &[u8] {
-        &self.hour
-    }
-
-    /// Download speeds, Mbps.
-    pub fn down(&self) -> &[f64] {
-        &self.down
-    }
-
-    /// Upload speeds, Mbps.
-    pub fn up(&self) -> &[f64] {
-        &self.up
-    }
-
-    /// Idle round-trip times, ms.
-    pub fn rtt(&self) -> &[f64] {
-        &self.rtt
-    }
-
-    /// Loaded round-trip times, ms.
-    pub fn loaded_rtt(&self) -> &[f64] {
-        &self.loaded_rtt
-    }
-
-    /// Access medium per row.
-    pub fn access(&self) -> &[Access] {
-        &self.access
-    }
-
-    /// Kernel memory, GB (NaN when the platform reported none).
-    pub fn kernel_memory_gb(&self) -> &[f64] {
-        &self.kernel_memory_gb
-    }
-
-    /// Ground-truth tier per row (generator-known; evaluation only).
-    pub fn truth_tier(&self) -> &[Option<usize>] {
-        &self.truth_tier
     }
 
     // ---- derived columns (lazy, memoized) -------------------------------
@@ -553,63 +478,6 @@ impl CampaignStore {
         }
         counts
     }
-
-    // ---- interop --------------------------------------------------------
-
-    /// Convert the campaign to a data frame with one column per record
-    /// field (the canonical CSV-export schema). Missing numeric metadata
-    /// becomes NaN; missing tier truth becomes -1.
-    ///
-    /// The five `f64` columns (`down_mbps`, `up_mbps`, `rtt_ms`,
-    /// `loaded_rtt_ms`, `memory_gb`) alias the store's [`Shared`] storage
-    /// — an `Arc` bump per column, zero float copies. Mutating the frame
-    /// copy detaches it (copy-on-write), so the store stays immutable.
-    pub fn to_frame(&self) -> DataFrame {
-        let n = self.len();
-        let mut access = Vec::with_capacity(n);
-        let mut band = Vec::with_capacity(n);
-        let mut rssi = Vec::with_capacity(n);
-        for a in &self.access {
-            let (cls, b, r) = match a {
-                Access::Wifi { band, rssi_dbm } => ("wifi", band.label(), *rssi_dbm),
-                Access::Ethernet => ("ethernet", "", f64::NAN),
-                Access::Unknown => ("unknown", "", f64::NAN),
-            };
-            access.push(cls.to_string());
-            band.push(b.to_string());
-            rssi.push(r);
-        }
-        DataFrame::from_columns([
-            ("id", Column::I64(self.id.iter().map(|&v| v as i64).collect())),
-            ("user_id", Column::I64(self.user_id.iter().map(|&v| v as i64).collect())),
-            (
-                "platform",
-                Column::Str(self.platform.iter().map(|p| p.label().to_string()).collect()),
-            ),
-            (
-                "vendor",
-                Column::Str(self.platform.iter().map(|p| p.vendor().label().to_string()).collect()),
-            ),
-            ("city", Column::I64(self.city.iter().map(|&v| v as i64).collect())),
-            ("day", Column::I64(self.day.iter().map(|&v| v as i64).collect())),
-            ("hour", Column::I64(self.hour.iter().map(|&v| v as i64).collect())),
-            ("down_mbps", Column::F64(self.down.clone())),
-            ("up_mbps", Column::F64(self.up.clone())),
-            ("rtt_ms", Column::F64(self.rtt.clone())),
-            ("loaded_rtt_ms", Column::F64(self.loaded_rtt.clone())),
-            ("access", Column::Str(access)),
-            ("band", Column::Str(band)),
-            ("rssi_dbm", Column::F64(rssi.into())),
-            ("memory_gb", Column::F64(self.kernel_memory_gb.clone())),
-            (
-                "truth_tier",
-                Column::I64(
-                    self.truth_tier.iter().map(|t| t.map(|v| v as i64).unwrap_or(-1)).collect(),
-                ),
-            ),
-        ])
-        .expect("columns constructed with equal lengths")
-    }
 }
 
 #[cfg(test)]
@@ -656,10 +524,10 @@ mod tests {
         let ms = sample();
         let s = CampaignStore::from_measurements(&ms);
         assert_eq!(s.len(), ms.len());
-        assert_eq!(s.down(), &[80.0, 90.0, 20.0, 400.0, 50.0]);
-        assert_eq!(s.platform()[3], Platform::DesktopEthernetApp);
-        assert!(s.kernel_memory_gb()[1].is_nan(), "web reports no memory");
-        assert_eq!(s.kernel_memory_gb()[0], 3.0);
+        assert_eq!(s.down, [80.0, 90.0, 20.0, 400.0, 50.0]);
+        assert_eq!(s.platform[3], Platform::DesktopEthernetApp);
+        assert!(s.kernel_memory_gb[1].is_nan(), "web reports no memory");
+        assert_eq!(s.kernel_memory_gb[0], 3.0);
     }
 
     #[test]
@@ -709,38 +577,6 @@ mod tests {
         assert_eq!(s.platform_sel(Platform::NdtWeb).len(), 0);
         let native = s.native_sel();
         assert_eq!(native.indices(), &[0, 2, 3, 4], "web portal is not native");
-    }
-
-    #[test]
-    fn to_frame_matches_canonical_schema() {
-        let ms = sample();
-        let s = CampaignStore::from_measurements(&ms);
-        let df = s.to_frame();
-        assert_eq!(df.n_rows(), ms.len());
-        assert_eq!(df.n_cols(), 16);
-        assert_eq!(df.f64("down_mbps").unwrap()[0], 80.0);
-        assert_eq!(df.str("access").unwrap()[3], "ethernet");
-        assert_eq!(df.str("band").unwrap()[0], "5 GHz");
-        assert_eq!(df.i64("truth_tier").unwrap()[0], -1);
-    }
-
-    #[test]
-    fn to_frame_aliases_f64_columns_without_copying() {
-        let s = CampaignStore::from_measurements(&sample());
-        let df = s.to_frame();
-        for (frame_col, store_col) in [
-            ("down_mbps", s.down()),
-            ("up_mbps", s.up()),
-            ("rtt_ms", s.rtt()),
-            ("loaded_rtt_ms", s.loaded_rtt()),
-            ("memory_gb", s.kernel_memory_gb()),
-        ] {
-            let exported = df.f64(frame_col).unwrap();
-            assert!(
-                std::ptr::eq(exported.as_ptr(), store_col.as_ptr()),
-                "{frame_col} must alias the store's storage, not copy it"
-            );
-        }
     }
 
     #[test]

@@ -9,17 +9,15 @@
 //!   included, across chunk boundaries;
 //! * segment boundaries are a pure function of the accepted-row
 //!   sequence and the seal threshold, never of chunk sizes;
-//! * segmented column views, selections, derived columns, assigned
-//!   columns, cap counts, and `to_frame` are bit-identical to the
-//!   monolithic store for every chunking — 1-row chunks and chunks
-//!   straddling the KERNEL_BLOCK (64) and EM_BLOCK (512) boundaries of
-//!   the blocked kernels included.
+//! * segmented base columns, derived columns, selections, assigned
+//!   columns, and cap counts are bit-identical to the one-segment batch
+//!   store for every chunking — 1-row chunks and chunks straddling the
+//!   KERNEL_BLOCK (64) and EM_BLOCK (512) boundaries of the blocked
+//!   kernels included.
 
 use proptest::prelude::*;
 use st_netsim::Band;
-use st_speedtest::{
-    sanitize, Access, CampaignStore, Measurement, PlanCatalog, Platform, SegmentedStore, Selection,
-};
+use st_speedtest::{sanitize, Access, Measurement, PlanCatalog, Platform, SegmentedStore};
 
 /// A quality value drawn from a pool of pathological and sane numbers,
 /// so streams mix clean, repairable, and quarantined records.
@@ -91,15 +89,37 @@ fn ingest(stream: &[Measurement], plan: &[usize], seal_rows: usize) -> Segmented
     store
 }
 
-/// The batch reference: one sanitize pass, one monolithic store.
-fn monolithic(stream: &[Measurement]) -> (CampaignStore, st_speedtest::SanitizeReport) {
+/// The batch reference: one sanitize pass, one single-segment store.
+fn monolithic(stream: &[Measurement]) -> (SegmentedStore, st_speedtest::SanitizeReport) {
     let (kept, report) = sanitize(stream.to_vec());
-    (CampaignStore::from_measurements(&kept), report)
+    (SegmentedStore::from_measurements(&kept), report)
 }
 
 /// Bit-exact f64 comparison (NaN-tolerant; `==` is not).
 fn bits(vals: impl IntoIterator<Item = f64>) -> Vec<u64> {
     vals.into_iter().map(f64::to_bits).collect()
+}
+
+/// Assert every base column of `seg` equals `mono`'s, floats bit for
+/// bit.
+fn assert_same_rows(seg: &SegmentedStore, mono: &SegmentedStore) {
+    assert_eq!(seg.id().to_vec(), mono.id().to_vec());
+    assert_eq!(seg.user_id().to_vec(), mono.user_id().to_vec());
+    assert_eq!(seg.platform().to_vec(), mono.platform().to_vec());
+    assert_eq!(seg.city().to_vec(), mono.city().to_vec());
+    assert_eq!(seg.day().to_vec(), mono.day().to_vec());
+    assert_eq!(seg.hour().to_vec(), mono.hour().to_vec());
+    assert_eq!(seg.access().to_vec(), mono.access().to_vec());
+    assert_eq!(seg.truth_tier().to_vec(), mono.truth_tier().to_vec());
+    for (name, a, b) in [
+        ("down", seg.down(), mono.down()),
+        ("up", seg.up(), mono.up()),
+        ("rtt", seg.rtt(), mono.rtt()),
+        ("loaded_rtt", seg.loaded_rtt(), mono.loaded_rtt()),
+        ("kernel_memory_gb", seg.kernel_memory_gb(), mono.kernel_memory_gb()),
+    ] {
+        assert_eq!(bits(a.iter().copied()), bits(b.iter().copied()), "{name}");
+    }
 }
 
 proptest! {
@@ -119,10 +139,7 @@ proptest! {
         prop_assert_eq!(seg.len(), mono.len());
 
         // Base and derived columns are bit-identical across any chunking.
-        prop_assert_eq!(seg.id().to_vec(), mono.id().to_vec());
-        prop_assert_eq!(seg.user_id().to_vec(), mono.user_id().to_vec());
-        prop_assert_eq!(bits(seg.down().iter().copied()), bits(mono.down().iter().copied()));
-        prop_assert_eq!(bits(seg.up().iter().copied()), bits(mono.up().iter().copied()));
+        assert_same_rows(&seg, &mono);
         prop_assert_eq!(bits(seg.rssi_dbm().iter().copied()), bits(mono.rssi_dbm().iter().copied()));
         prop_assert_eq!(seg.time_bin().to_vec(), mono.time_bin().to_vec());
         prop_assert_eq!(seg.month().to_vec(), mono.month().to_vec());
@@ -139,11 +156,6 @@ proptest! {
         let native: Vec<usize> = seg.native_sel().iter().collect();
         let mono_native: Vec<usize> = mono.native_sel().iter().collect();
         prop_assert_eq!(native, mono_native);
-
-        // The canonical frame concatenates byte-identically.
-        let a = st_dataframe::csv::to_csv(&seg.to_frame()).expect("segmented frame");
-        let b = st_dataframe::csv::to_csv(&mono.to_frame()).expect("monolithic frame");
-        prop_assert_eq!(a, b);
     }
 
     #[test]
@@ -156,17 +168,17 @@ proptest! {
         let a = ingest(&stream, &plan_a, seal_rows);
         let b = ingest(&stream, &plan_b, seal_rows);
         prop_assert_eq!(a.num_segments(), b.num_segments());
-        for (x, y) in a.segments().iter().zip(b.segments()) {
-            prop_assert_eq!(x.len(), y.len());
-            prop_assert_eq!(x.id(), y.id());
-        }
+        let (ids_a, ids_b) = (a.id(), b.id());
+        prop_assert_eq!(ids_a.offsets(), ids_b.offsets());
+        prop_assert_eq!(ids_a.fragments(), ids_b.fragments());
         // Every non-final segment holds exactly seal_rows rows, and the
         // count is the pure function ceil(accepted / seal_rows).
         let accepted = a.len();
         let expect = (accepted.div_ceil(seal_rows)).max(1);
         prop_assert_eq!(a.num_segments(), expect);
-        for s in &a.segments()[..a.num_segments() - 1] {
-            prop_assert_eq!(s.len(), seal_rows);
+        prop_assert_eq!(ids_a.fragments().len(), expect);
+        for frag in &ids_a.fragments()[..expect - 1] {
+            prop_assert_eq!(frag.len(), seal_rows);
         }
     }
 
@@ -190,30 +202,31 @@ proptest! {
         mono.set_assignments(tiers.clone(), caps.clone(), &catalog).expect("first scatter");
         seg.set_assignments(tiers, caps, &catalog).expect("first scatter");
 
-        prop_assert_eq!(seg.assigned_tier().to_vec(), mono.assigned().tier.clone());
-        prop_assert_eq!(seg.group_idx().to_vec(), mono.assigned().group_idx.clone());
-        prop_assert_eq!(seg.upload_cap_idx().to_vec(), mono.assigned().upload_cap_idx.clone());
+        prop_assert_eq!(seg.assigned_tier().to_vec(), mono.assigned_tier().to_vec());
+        prop_assert_eq!(seg.group_idx().to_vec(), mono.group_idx().to_vec());
+        prop_assert_eq!(seg.upload_cap_idx().to_vec(), mono.upload_cap_idx().to_vec());
         prop_assert_eq!(
             bits(seg.normalized_down().iter().copied()),
-            bits(mono.assigned().normalized_down.iter().copied())
+            bits(mono.normalized_down().iter().copied())
         );
         prop_assert_eq!(
             bits(seg.plan_down_col().iter().copied()),
-            bits(mono.assigned().plan_down.iter().copied())
+            bits(mono.plan_down_col().iter().copied())
         );
 
         // Cap counts over the identity and per-platform selections.
         let all = seg.from_pred(|_| true);
-        prop_assert_eq!(seg.cap_counts(&all), mono.cap_counts(&Selection::all(n)));
+        prop_assert_eq!(seg.cap_counts(&all), mono.cap_counts(&mono.from_pred(|_| true)));
         for platform in Platform::all() {
             prop_assert_eq!(
                 seg.cap_counts(&seg.platform_sel(platform)),
-                mono.cap_counts(mono.platform_sel(platform))
+                mono.cap_counts(&mono.platform_sel(platform))
             );
         }
+        prop_assert_eq!(seg.n_groups(), mono.n_groups());
         for gi in 0..seg.n_groups() {
             let s: Vec<usize> = seg.group_sel(gi).iter().collect();
-            let m: Vec<usize> = mono.assigned().group_sels[gi].iter().collect();
+            let m: Vec<usize> = mono.group_sel(gi).iter().collect();
             prop_assert_eq!(s, m);
         }
     }
@@ -253,8 +266,6 @@ fn em_block_straddle_matches_batch() {
             bits(mono.rssi_dbm().iter().copied()),
             "derived columns diverged at chunk {chunk} seal {seal}"
         );
-        let a = st_dataframe::csv::to_csv(&seg.to_frame()).expect("segmented frame");
-        let b = st_dataframe::csv::to_csv(&mono.to_frame()).expect("monolithic frame");
-        assert_eq!(a, b, "chunk {chunk} seal {seal}");
+        assert_same_rows(&seg, &mono);
     }
 }

@@ -17,9 +17,9 @@
 //! | [`bst`] | `st-bst` | **the paper's contribution**: the two-stage Broadband Subscription Tier methodology, evaluation, α-consistency, ablations |
 //! | [`stats`] | `st-stats` | KDE, GMM-EM (with seeded init and a uniform background component), k-means, quantiles, ECDFs |
 //! | [`netsim`] | `st-netsim` | flow-level path simulator: access link, 802.11 WiFi, device constraints, round-based TCP |
-//! | [`speedtest`] | `st-speedtest` | plan catalogs, measurement schema, Ookla/NDT methodologies, NDT pairing, a real-socket loopback speed test |
+//! | [`speedtest`] | `st-speedtest` | plan catalogs, measurement schema and its CSV export, the segmented columnar store, Ookla/NDT methodologies, NDT pairing, a real-socket loopback speed test |
 //! | [`datagen`] | `st-datagen` | synthetic Ookla / M-Lab / MBA campaigns for the four-city study |
-//! | [`dataframe`] | `st-dataframe` | typed columnar frames with filter/sort/CSV |
+//! | [`dataframe`] | `st-dataframe` | row selections and segment-aware column views over the campaign store |
 //! | [`analysis`] | `st-analysis` | one module per paper table/figure |
 //! | [`viz`] | `st-viz` | SVG and ASCII rendering |
 //!
