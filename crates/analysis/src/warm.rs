@@ -26,6 +26,7 @@ use crate::{fig01, table1};
 use st_datagen::CityConfig;
 use st_obs::Registry;
 use st_speedtest::{Measurement, SegmentedStore};
+use st_stats::quantile_select;
 
 /// Fit one city's BST models against sealed row prefixes. Platforms
 /// with fewer than 30 samples are skipped exactly as in the batch
@@ -49,24 +50,24 @@ pub fn warm_fit(
     )
 }
 
-/// Median of a sealed column (NaN when empty) — tiny local helper so
-/// headlines do not depend on any fig module's preconditions.
+/// Type-7 median of a sealed column's finite values (NaN when none):
+/// the same interpolated median `fig01` draws, without its
+/// preconditions.
 fn median(mut values: Vec<f64>) -> f64 {
     values.retain(|v| v.is_finite());
     if values.is_empty() {
         return f64::NAN;
     }
-    values.sort_by(|a, b| a.total_cmp(b));
-    values[values.len() / 2]
+    quantile_select(&mut values, 0.5)
 }
 
 /// Headline `(label, value)` pairs for one set of warm analyses: per
 /// city the sealed row counts, the uncontextualized Ookla download
 /// median (the paper's fig 1 headline number), fitted model counts,
 /// and BST tier-assignment coverage.
-pub fn warm_headlines(analyses: &[CityAnalysis]) -> Vec<(String, String)> {
+pub fn warm_headlines(analyses: &[&CityAnalysis]) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for a in analyses {
+    for &a in analyses {
         let city = a.config.city.label();
         let rows = a.ookla.len() + a.mlab.len() + a.mba.len();
         out.push((format!("{city} sealed rows"), rows.to_string()));
@@ -91,7 +92,7 @@ pub fn warm_headlines(analyses: &[CityAnalysis]) -> Vec<(String, String)> {
         ));
     }
     // The paper's first figure, when the first city has data to draw.
-    if let Some(first) = analyses.first() {
+    if let Some(&first) = analyses.first() {
         if first.ookla.len() >= 30 {
             let f1 = fig01::run(first);
             if let Some(m) = f1.medians.first() {
@@ -104,9 +105,8 @@ pub fn warm_headlines(analyses: &[CityAnalysis]) -> Vec<(String, String)> {
 
 /// Warm rendered tables as `(id, text)` pairs — currently Table 1
 /// (dataset sizes), which is robust at any prefix size.
-pub fn warm_tables(analyses: &[CityAnalysis]) -> Vec<(String, String)> {
-    let refs: Vec<&CityAnalysis> = analyses.iter().collect();
-    let t = table1::run(&refs);
+pub fn warm_tables(analyses: &[&CityAnalysis]) -> Vec<(String, String)> {
+    let t = table1::run(analyses);
     vec![(t.id.clone(), t.render())]
 }
 
@@ -132,10 +132,10 @@ mod tests {
     #[test]
     fn headlines_and_tables_survive_empty_prefixes() {
         let empty = warm_fit(CityConfig::at_scale(City::B, 0.001), &[], &[], &[], 1);
-        let heads = warm_headlines(std::slice::from_ref(&empty));
+        let heads = warm_headlines(&[&empty]);
         assert!(heads.iter().any(|(k, v)| k.contains("sealed rows") && v == "0"));
         assert!(!heads.iter().any(|(k, _)| k.contains("median")), "no median without data");
-        let tables = warm_tables(std::slice::from_ref(&empty));
+        let tables = warm_tables(&[&empty]);
         assert_eq!(tables.len(), 1);
         assert!(tables[0].1.contains("City-B"));
     }
@@ -145,8 +145,36 @@ mod tests {
         let ds = CityDataset::generate(City::A, 0.002, 3);
         let config = ds.config.clone();
         let warm = warm_fit(config, &ds.ookla, &ds.mlab, &ds.mba, 9);
-        let heads = warm_headlines(std::slice::from_ref(&warm));
+        let heads = warm_headlines(&[&warm]);
         assert!(heads.iter().any(|(k, _)| k.starts_with("fig01")));
         assert!(heads.iter().any(|(k, _)| k.contains("BST tier coverage")));
+    }
+
+    #[test]
+    fn median_interpolates_between_the_middle_pair() {
+        assert_eq!(median(vec![1.0, 2.0, 3.0, 10.0]), 2.5);
+        assert_eq!(median(vec![10.0, f64::NAN, 1.0, 3.0]), 3.0);
+        assert!(median(vec![f64::NAN]).is_nan());
+    }
+
+    #[test]
+    fn ookla_median_headline_is_the_fig01_headline_on_an_even_prefix() {
+        let ds = CityDataset::generate(City::A, 0.002, 3);
+        let mut len = ds.ookla.len();
+        let warm = loop {
+            let a = warm_fit(ds.config.clone(), &ds.ookla[..len], &[], &[], 9);
+            if a.ookla.len().is_multiple_of(2) {
+                break a;
+            }
+            len -= 1;
+        };
+        assert!(warm.ookla.len() >= 30, "fig01 needs 30 rows");
+        let heads = warm_headlines(&[&warm]);
+        let value =
+            |key: &str| heads.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).expect(key);
+        assert_eq!(
+            value("City-A ookla median down (Mbps)"),
+            value("fig01 uncontextualized median (Mbps)")
+        );
     }
 }

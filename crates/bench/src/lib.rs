@@ -73,10 +73,10 @@ use st_datagen::{City, CityConfig, CityDataset, DirtyScenario};
 use st_obs::{MetricsSnapshot, Registry};
 use st_serve::{ContextService, ServeError, WarmInput, WarmOutput, WarmRenderer};
 use st_speedtest::{sanitize, Measurement, SanitizeReport, SegmentedStore};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One rendered artifact: an id, markdown/text body, and optional SVG.
@@ -729,34 +729,68 @@ impl ReplaySchedule {
 /// dataset state. The fit seed is the batch derivation (`seed ^
 /// 0x5eed`): a warm fit over the *complete* sealed stream is the batch
 /// fit, which is what the serve-identity suite pins.
+///
+/// **Memoized per city.** The renderer keeps each city's last fit,
+/// keyed by `(service id, city, sealed row count per campaign)`, and
+/// refits a city only when its key changes. Reuse is exact: within one
+/// service a stream's sealed rows only grow, by appending whole
+/// segments, so equal counts mean equal rows, and the service id
+/// ([`WarmInput::service`]) keeps services that share one renderer
+/// apart. Every output is therefore the one a fresh fit would give. A
+/// city's stale entry is dropped before its refit, and no lock is held
+/// while fitting (DESIGN.md §18); two renders that miss the same key
+/// both fit, and their identical results may overwrite each other.
 pub fn make_warm_renderer(scale: f64, seed: u64) -> WarmRenderer {
+    let memo: Mutex<HashMap<City, WarmFit>> = Mutex::new(HashMap::new());
     Arc::new(move |input: &WarmInput| {
         let mut analyses = Vec::new();
         for wc in &input.cities {
             let Some(city) = City::all().iter().copied().find(|c| c.label() == wc.city) else {
                 continue; // non-city partitions (e.g. "wire") carry no warm fit
             };
-            let stream = |name: &str| {
-                wc.campaigns
-                    .iter()
-                    .find(|(c, _)| c == name)
-                    .map(|(_, rows)| rows.as_slice())
-                    .unwrap_or(&[])
+            let key = (input.service, wc.campaigns.iter().map(|(_, rows)| rows.len()).collect());
+            let hit = {
+                let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+                match memo.get(&city) {
+                    Some((k, fit)) if *k == key => Some(Arc::clone(fit)),
+                    _ => {
+                        memo.remove(&city);
+                        None
+                    }
+                }
             };
-            analyses.push(st_analysis::warm::warm_fit(
-                CityConfig::at_scale(city, scale),
-                stream("ookla"),
-                stream("mlab"),
-                stream("mba"),
-                seed ^ 0x5eed,
-            ));
+            let fit = hit.unwrap_or_else(|| {
+                let stream = |name: &str| {
+                    wc.campaigns
+                        .iter()
+                        .find(|(c, _)| c == name)
+                        .map(|(_, rows)| rows.as_slice())
+                        .unwrap_or(&[])
+                };
+                let fit = Arc::new(st_analysis::warm::warm_fit(
+                    CityConfig::at_scale(city, scale),
+                    stream("ookla"),
+                    stream("mlab"),
+                    stream("mba"),
+                    seed ^ 0x5eed,
+                ));
+                let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+                memo.insert(city, (key, Arc::clone(&fit)));
+                fit
+            });
+            analyses.push(fit);
         }
+        let analyses: Vec<&CityAnalysis> = analyses.iter().map(Arc::as_ref).collect();
         WarmOutput {
             headlines: st_analysis::warm::warm_headlines(&analyses),
             tables: st_analysis::warm::warm_tables(&analyses),
         }
     })
 }
+
+/// A memoized warm fit and its key: the service id and the sealed row
+/// count of each campaign, in campaign order.
+type WarmFit = ((u64, Vec<usize>), Arc<CityAnalysis>);
 
 fn cdf_artifact(r: &st_analysis::CdfResult) -> Artifact {
     Artifact {

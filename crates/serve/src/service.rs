@@ -22,7 +22,7 @@ use st_obs::Registry;
 use st_speedtest::{
     ChunkStats, Measurement, SanitizeReport, SegmentedStore, StoreError, DEFAULT_SEAL_ROWS,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,6 +77,12 @@ impl PartitionSpec {
 /// Everything a warm render sees: the sealed (therefore
 /// chunking-invariant) rows of every deterministic partition.
 pub struct WarmInput {
+    /// Process-unique id of the [`ContextService`] rendering, the same
+    /// in every input of one service. Within one service a stream's
+    /// sealed rows only grow, by whole segments, so `(service, city,
+    /// sealed row count per campaign)` names a city's sealed rows
+    /// exactly: a renderer may reuse a fit made under the same key.
+    pub service: u64,
     /// Epoch index being rendered.
     pub epoch: u64,
     /// Per-city `(campaign, sealed rows)` streams, in partition order.
@@ -224,8 +230,13 @@ struct Coordinator {
     epoch: u64,
 }
 
+/// Source of [`ContextService`] ids: unique within the process.
+static NEXT_SERVICE_ID: AtomicU64 = AtomicU64::new(1);
+
 /// The long-running contextualization service (DESIGN.md §18).
 pub struct ContextService {
+    /// Process-unique id, handed to the warm renderer.
+    id: u64,
     partitions: Vec<Partition>,
     coord: Mutex<Coordinator>,
     publisher: EpochPublisher,
@@ -283,6 +294,7 @@ impl ContextService {
             })
             .collect();
         ContextService {
+            id: NEXT_SERVICE_ID.fetch_add(1, Ordering::Relaxed),
             partitions,
             coord: Mutex::new(Coordinator::default()),
             publisher: EpochPublisher::new(EpochSnapshot::initial(skeleton)),
@@ -472,7 +484,7 @@ impl ContextService {
         if let Some((h, t, hash, files)) = finals {
             (headlines, tables, artifact_hash, artifact_files) = (h, t, hash, files);
         } else if let Some(warm) = &self.warm {
-            let out = warm(&WarmInput { epoch: view.epoch, cities: warm_cities });
+            let out = warm(&WarmInput { service: self.id, epoch: view.epoch, cities: warm_cities });
             headlines = out.headlines;
             tables = out.tables;
         }
@@ -725,5 +737,36 @@ mod tests {
         assert_eq!(ep.epoch, 1);
         // 12 accepted rows, seal_rows 8: exactly one sealed segment.
         assert_eq!(ep.headlines, vec![("sealed rows".to_string(), "8".to_string())]);
+    }
+
+    #[test]
+    fn every_service_hands_its_own_id_to_every_warm_render() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let warm: WarmRenderer = {
+            let seen = Arc::clone(&seen);
+            Arc::new(move |input: &WarmInput| {
+                seen.lock().push(input.service);
+                WarmOutput::default()
+            })
+        };
+        let service = || {
+            ContextService::new(
+                vec![PartitionSpec::city("City-A")],
+                ServeOptions { seal_rows: 4, epoch_rows: 5, warm: Some(Arc::clone(&warm)) },
+                Registry::new(),
+            )
+        };
+        let (a, b) = (service(), service());
+        for chunk in 0..3 {
+            a.ingest_chunk("City-A", "ookla", (chunk * 5..chunk * 5 + 5).map(m).collect()).unwrap();
+        }
+        b.ingest_chunk("City-A", "mlab", (0..5).map(m).collect()).unwrap();
+        b.ingest_chunk("City-A", "mlab", (5..10).map(m).collect()).unwrap();
+        let seen = seen.lock().clone();
+        assert_eq!(seen.len(), 5, "three epochs of `a`, two of `b`");
+        let (ids_a, ids_b) = seen.split_at(3);
+        assert!(ids_a.iter().all(|&id| id == ids_a[0]), "{seen:?}");
+        assert!(ids_b.iter().all(|&id| id == ids_b[0]), "{seen:?}");
+        assert_ne!(ids_a[0], ids_b[0], "two services share an id");
     }
 }

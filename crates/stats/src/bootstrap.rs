@@ -6,7 +6,7 @@
 //! standard tool for medians and ratio statistics over heavy-tailed
 //! throughput samples, where normal-theory intervals are unreliable.
 
-use crate::describe::quantile_sorted;
+use crate::describe::{quantile_select, quantile_sorted};
 use crate::error::{validate_sample, StatsError};
 use crate::Result;
 use rand::Rng;
@@ -47,6 +47,18 @@ pub fn bootstrap_ci<R: Rng + ?Sized>(
     level: f64,
     rng: &mut R,
 ) -> Result<ConfidenceInterval> {
+    resample_ci(data, |sample: &mut [f64]| statistic(sample), resamples, level, rng)
+}
+
+/// [`bootstrap_ci`] with a statistic that may reorder its sample in
+/// place: each resample buffer is refilled before the next draw.
+fn resample_ci<R: Rng + ?Sized>(
+    data: &[f64],
+    statistic: impl Fn(&mut [f64]) -> f64,
+    resamples: usize,
+    level: f64,
+    rng: &mut R,
+) -> Result<ConfidenceInterval> {
     validate_sample(data)?;
     if !(0.0..1.0).contains(&level) || level <= 0.5 {
         return Err(StatsError::InvalidParameter { what: "confidence level", value: level });
@@ -55,7 +67,7 @@ pub fn bootstrap_ci<R: Rng + ?Sized>(
         return Err(StatsError::InvalidParameter { what: "resamples", value: resamples as f64 });
     }
 
-    let estimate = statistic(data);
+    let estimate = statistic(&mut data.to_vec());
     let n = data.len();
     let mut stats = Vec::with_capacity(resamples);
     let mut scratch = vec![0.0f64; n];
@@ -63,11 +75,20 @@ pub fn bootstrap_ci<R: Rng + ?Sized>(
         for slot in scratch.iter_mut() {
             *slot = data[rng.gen_range(0..n)];
         }
-        let s = statistic(&scratch);
+        let s = statistic(&mut scratch);
         if s.is_finite() {
             stats.push(s);
         }
     }
+    percentile_interval(estimate, stats, level)
+}
+
+/// The percentile interval of the finite resampled statistics `stats`.
+fn percentile_interval(
+    estimate: f64,
+    mut stats: Vec<f64>,
+    level: f64,
+) -> Result<ConfidenceInterval> {
     if stats.is_empty() {
         return Err(StatsError::Diverged { iteration: 0 });
     }
@@ -88,17 +109,7 @@ pub fn median_ci<R: Rng + ?Sized>(
     level: f64,
     rng: &mut R,
 ) -> Result<ConfidenceInterval> {
-    bootstrap_ci(
-        data,
-        |sample| {
-            let mut v = sample.to_vec();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            quantile_sorted(&v, 0.5)
-        },
-        resamples,
-        level,
-        rng,
-    )
+    resample_ci(data, |sample| quantile_select(sample, 0.5), resamples, level, rng)
 }
 
 /// Bootstrap CI for the ratio of two samples' medians (`a / b`) — the
@@ -116,14 +127,8 @@ pub fn median_ratio_ci<R: Rng + ?Sized>(
     if !(0.0..1.0).contains(&level) || level <= 0.5 {
         return Err(StatsError::InvalidParameter { what: "confidence level", value: level });
     }
-    let med = |v: &mut Vec<f64>| {
-        v.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-        quantile_sorted(v, 0.5)
-    };
-    let estimate = {
-        let (mut x, mut y) = (a.to_vec(), b.to_vec());
-        med(&mut x) / med(&mut y)
-    };
+    let med = |v: &mut [f64]| quantile_select(v, 0.5);
+    let estimate = med(&mut a.to_vec()) / med(&mut b.to_vec());
     let mut stats = Vec::with_capacity(resamples);
     let mut ra = vec![0.0f64; a.len()];
     let mut rb = vec![0.0f64; b.len()];
@@ -134,23 +139,12 @@ pub fn median_ratio_ci<R: Rng + ?Sized>(
         for slot in rb.iter_mut() {
             *slot = b[rng.gen_range(0..b.len())];
         }
-        let (mut x, mut y) = (ra.clone(), rb.clone());
-        let r = med(&mut x) / med(&mut y);
+        let r = med(&mut ra) / med(&mut rb);
         if r.is_finite() {
             stats.push(r);
         }
     }
-    if stats.is_empty() {
-        return Err(StatsError::Diverged { iteration: 0 });
-    }
-    stats.sort_by(|x, y| x.partial_cmp(y).expect("finite filtered"));
-    let alpha = (1.0 - level) / 2.0;
-    Ok(ConfidenceInterval {
-        estimate,
-        lo: quantile_sorted(&stats, alpha),
-        hi: quantile_sorted(&stats, 1.0 - alpha),
-        level,
-    })
+    percentile_interval(estimate, stats, level)
 }
 
 #[cfg(test)]

@@ -48,11 +48,39 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if n == 1 {
         return sorted[0];
     }
+    let (lo, hi, frac) = rank(n, q);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+}
+
+/// [`quantile_sorted`] of `values` as if sorted, found by selection in
+/// expected `O(n)` instead of an `O(n log n)` sort. For finite values
+/// it returns the same float bit for bit: it picks the same two order
+/// statistics and interpolates with the same expression (a `-0.0`
+/// picked in place of a tied `0.0` yields the same `+0.0`). Reorders
+/// `values`; panics on empty input.
+pub fn quantile_select(values: &mut [f64], q: f64) -> f64 {
+    assert!(!values.is_empty(), "quantile of empty slice");
+    let n = values.len();
+    if n == 1 {
+        return values[0];
+    }
+    let (lo, hi, frac) = rank(n, q);
+    let (_, &mut at_lo, above) = values.select_nth_unstable_by(lo, f64::total_cmp);
+    let at_hi = if hi == lo {
+        at_lo
+    } else {
+        // hi == lo + 1: the smallest value ranked above `lo`.
+        above.iter().copied().min_by(f64::total_cmp).expect("hi < n")
+    };
+    at_lo + (at_hi - at_lo) * frac
+}
+
+/// The type-7 rank of quantile `q` among `n >= 2` sorted values: the
+/// two neighbouring indices and the interpolation weight of the upper.
+fn rank(n: usize, q: f64) -> (usize, usize, f64) {
     let pos = q * (n - 1) as f64;
     let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+    (lo, pos.ceil() as usize, pos - lo as f64)
 }
 
 /// Median (50th percentile).

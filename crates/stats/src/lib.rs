@@ -35,7 +35,9 @@ pub mod kmeans;
 pub mod ks;
 
 pub use bootstrap::{bootstrap_ci, median_ci, median_ratio_ci, ConfidenceInterval};
-pub use describe::{consistency_factor, gini, mean, median, quantile, std_dev, variance, Summary};
+pub use describe::{
+    consistency_factor, gini, mean, median, quantile, quantile_select, std_dev, variance, Summary,
+};
 pub use ecdf::Ecdf;
 pub use error::StatsError;
 pub use gmm::{GaussianMixture, GmmConfig, GmmFit};

@@ -222,6 +222,36 @@ proptest! {
         prop_assert!(ci.contains(ci.estimate), "{ci:?}");
     }
 
+    /// Selection is an optimization, not a numeric change: it must give
+    /// sort-then-`quantile_sorted`'s float bit for bit, with heavy ties
+    /// (values drawn from a handful of levels, signed zeros among them)
+    /// and at n = 1 and 2.
+    #[test]
+    fn quantile_select_matches_sort_then_quantile_sorted_bitwise(
+        levels in prop::collection::vec(0u8..6, 1..60),
+        spread in prop::collection::vec(0.01f64..2000.0, 1..60),
+        q in 0.0f64..=1.0,
+    ) {
+        use st_stats::describe::quantile_sorted;
+        use st_stats::quantile_select;
+        // Ties: six levels, -0.0 and 0.0 among them.
+        let tied: Vec<f64> =
+            levels.iter().map(|&l| [-0.0, 0.0, 1.5, 1.5, 7.25, 300.0][l as usize]).collect();
+        for data in [tied, spread] {
+            for n in [1, 2, data.len()] {
+                let sample = &data[..n.min(data.len())];
+                for q in [q, 0.0, 0.5, 1.0] {
+                    let mut sorted = sample.to_vec();
+                    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    let want = quantile_sorted(&sorted, q);
+                    let got = quantile_select(&mut sample.to_vec(), q);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(),
+                        "n={} q={}: {} vs {}", sample.len(), q, got, want);
+                }
+            }
+        }
+    }
+
     /// The blocked KDE kernel is an optimization, not a numeric change:
     /// every probe point must match the scalar reference bit-for-bit,
     /// including probes far outside the sample (empty window) and sample
