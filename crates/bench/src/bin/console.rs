@@ -97,7 +97,7 @@ fn load_baseline(path: &str) -> Result<LedgerRow, CliError> {
 
 fn run_identity(row: &LedgerRow) -> RunIdentity {
     RunIdentity {
-        schema: row.schema.clone(),
+        mode: row.mode.clone(),
         scale: row.scale,
         seed: row.seed,
         parallelism: row.parallelism as u64,

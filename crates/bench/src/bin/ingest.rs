@@ -17,18 +17,17 @@
 //! The point of the exercise is the identity it proves: the artifact set
 //! written here is byte-identical to a batch `repro` run at the same
 //! scale and seed — for any chunk size, any seal threshold, and any
-//! parallelism. The appended `BENCH_ledger.jsonl` row (schema
-//! `st-ingest/v1`) carries the artifact hash plus chunk/segment counts
-//! and ingest throughput, so the identity is checkable straight from the
-//! ledger: an ingest row and a batch row with equal `artifact_hash`
-//! produced the same bytes.
+//! parallelism. The appended `BENCH_ledger.jsonl` row (mode `ingest`)
+//! carries the artifact hash plus chunk/segment counts and ingest
+//! throughput, so the identity is checkable straight from the ledger: an
+//! ingest row and a batch row with equal `artifact_hash` produced the
+//! same bytes.
 //!
 //! Outputs, `--baseline` and exit codes are `repro`'s (the shared
 //! `st_bench::output` writer and `st_bench::cli` parser), except that a
 //! degraded render always fails the run.
 
 use st_bench::cli;
-use st_bench::ledger::IngestLedgerRow;
 use st_bench::output::{write_run, ChunkPlan};
 use st_bench::{run, Feed, IngestOptions};
 use std::process::ExitCode;
@@ -64,14 +63,7 @@ fn main() -> ExitCode {
         "ingested {} rows in {} chunks ({} segments sealed) in {:.1}s",
         r.rows, r.chunks, r.segments, r.ingest_s
     );
-    let row = IngestLedgerRow::from_report(
-        &run.report,
-        args.parallelism,
-        plan.chunk_rows,
-        plan.seal_rows,
-        &run.replay,
-    );
     let chunk_plan = ChunkPlan { ingest: plan, epoch_rows: None };
     // A degraded replay always fails: no --allow-degraded here.
-    write_run(&args, "ingest", Some(chunk_plan), &run, &obs, &row).exit_code(false)
+    write_run(&args, "ingest", Some(chunk_plan), &run, &obs).exit_code(false)
 }

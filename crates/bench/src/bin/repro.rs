@@ -35,7 +35,6 @@
 //! comparison. `--help` exits 0; a malformed invocation exits 2.
 
 use st_bench::cli::{self, CliError};
-use st_bench::ledger::LedgerRow;
 use st_bench::output::write_run;
 use st_bench::{run, Feed, RunOptions};
 use st_datagen::DirtyScenario;
@@ -84,6 +83,5 @@ fn main() -> ExitCode {
     let dirty = (dirty_rate > 0.0).then(|| DirtyScenario::with_total_rate(dirty_rate));
     let obs = st_obs::Registry::new();
     let run = run(&opts, Feed::Batch(dirty), &obs).expect("the batch feed cannot fail");
-    let row = LedgerRow::from_report(&run.report, args.parallelism);
-    write_run(&args, "repro", None, &run, &obs, &row).exit_code(allow_degraded)
+    write_run(&args, "repro", None, &run, &obs).exit_code(allow_degraded)
 }

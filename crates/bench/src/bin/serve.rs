@@ -22,17 +22,17 @@
 //! after the final epoch so scripted clients can read it; a `shutdown`
 //! command (or the timeout) ends the run.
 //!
-//! The appended `BENCH_ledger.jsonl` row (schema `st-serve/v1`) carries
-//! the artifact hash plus chunk/segment/epoch counts and sustained
-//! ingest throughput: a serve row and a batch row with equal
-//! `artifact_hash` produced the same bytes.
+//! The appended `BENCH_ledger.jsonl` row (mode `serve`) carries the
+//! artifact hash plus chunk/segment/epoch counts and sustained ingest
+//! throughput: a serve row and a batch row with equal `artifact_hash`
+//! produced the same bytes.
 //!
 //! Client mode (`--connect`) sends one query to a running server and
 //! prints the response line; it exits nonzero if the response reports
 //! `ok: false`.
 
 use st_bench::cli::{self, CliError};
-use st_bench::ledger::{artifact_hash, ServeLedgerRow};
+use st_bench::ledger::artifact_hash;
 use st_bench::output::{write_run, ChunkPlan};
 use st_bench::{make_warm_renderer, run, Feed, IngestOptions};
 use st_serve::{
@@ -218,7 +218,7 @@ fn main() -> ExitCode {
     }
 
     let feed = Feed::Service { service: &service, chunk_rows: plan.chunk_rows };
-    let run = match run(&args.run_options(), feed, &obs) {
+    let mut run = match run(&args.run_options(), feed, &obs) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("serve replay failed: {e}");
@@ -256,17 +256,10 @@ fn main() -> ExitCode {
     };
     eprintln!("published final epoch {final_epoch} (artifact hash {hash:016x})");
 
-    let row = ServeLedgerRow::from_report(
-        report,
-        args.parallelism,
-        plan.chunk_rows,
-        plan.seal_rows,
-        own.epoch_rows,
-        &run.replay,
-        final_epoch,
-    );
+    // The ledger row counts the final epoch too.
+    run.replay.epochs = final_epoch;
     let chunk_plan = ChunkPlan { ingest: plan, epoch_rows: Some(own.epoch_rows) };
-    let outcome = write_run(&args, "serve", Some(chunk_plan), &run, &obs, &row);
+    let outcome = write_run(&args, "serve", Some(chunk_plan), &run, &obs);
 
     if own.linger > 0 {
         eprintln!(

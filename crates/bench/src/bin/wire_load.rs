@@ -17,9 +17,9 @@
 //!   (sessions, seed, fault-rate, pool) tuple at every `--parallelism`.
 //! * `DIR/BENCH_load_summary.json` — the full [`LoadSummary`] with
 //!   per-session reports and quality scores.
-//! * `DIR/BENCH_ledger.jsonl` — appends one `st-load/v1` row whose
-//!   `metrics_hash` fingerprints the deterministic section, so CI can
-//!   regression-gate campaigns across commits.
+//! * `DIR/BENCH_ledger.jsonl` — appends one ledger row with mode
+//!   `wire-load` whose `metrics_hash` fingerprints the deterministic
+//!   section, so CI can regression-gate campaigns across commits.
 //!
 //! With `--baseline OLD_METRICS.json` the run diffs itself against a
 //! previous snapshot in-process (same contract as `obs-diff`).

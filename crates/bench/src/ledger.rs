@@ -1,38 +1,42 @@
-//! Append-only run ledger: one JSON line per completed `repro` run.
+//! Append-only run ledger: one JSON line per completed run.
 //!
-//! The `repro` binary appends a [`LedgerRow`] to `BENCH_ledger.jsonl`
-//! after every run (DESIGN.md §14), so a working directory accumulates a
-//! queryable history: schema version, run knobs (scale, seed,
-//! parallelism), an FNV-1a hash of the artifact set, headline counters,
-//! and the per-stage wall-clock durations. The file is JSON Lines —
-//! append-only, one self-contained object per line — so concurrent
-//! tooling can `tail` it and a truncated final line (crash mid-append)
-//! never corrupts the rows before it.
+//! Every run of `repro`, `ingest` or `serve` appends one [`LedgerRow`]
+//! to `BENCH_ledger.jsonl` (DESIGN.md §14), so a working directory
+//! accumulates a queryable history. There is one row type under one
+//! schema tag ([`LEDGER_SCHEMA`]); its `mode` field names the binary
+//! that wrote it. A row carries the run knobs (scale, seed,
+//! parallelism, the chunk plan of a replay run), what the replay feed
+//! did, an FNV-1a hash of the artifact set, headline counters, the
+//! per-stage wall-clock durations and the process's peak RSS. The file
+//! is JSON Lines — append-only, one self-contained object per line — so
+//! concurrent tooling can `tail` it and a truncated final line (crash
+//! mid-append) never corrupts the rows before it.
+//!
+//! `wire-load` campaigns append a [`LoadLedgerRow`] to the same kind of
+//! file, under the same tag with `mode: "wire-load"`. It hashes a
+//! metrics section rather than an artifact set, so the read side
+//! ([`LedgerRow::parse`], [`LedgerTail`]) rejects or skips it.
 //!
 //! The artifact hash uses the same FNV-1a scheme as the golden-identity
 //! test ([`fnv1a`] over the sorted `<id>.svg`/`<id>.json` file set, name
 //! bytes then content bytes), so a ledger row's hash can be compared
 //! directly against the pinned golden value: two rows with equal
-//! `artifact_hash` produced byte-identical artifact sets.
+//! `artifact_hash` produced byte-identical artifact sets, whichever
+//! binary wrote them.
 
 use crate::diff::{diff_metrics, DiffOptions, MetricsDoc};
-use crate::{Artifact, ReproReport};
+use crate::output::ChunkPlan;
+use crate::{Artifact, Run};
 use serde::Serialize;
 use serde_json::Value;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Schema tag stamped on every row.
-pub const LEDGER_SCHEMA: &str = "st-ledger/v1";
+pub const LEDGER_SCHEMA: &str = "st-ledger/v2";
 
-/// Schema tag stamped on every `wire-load` campaign row.
-pub const LOAD_LEDGER_SCHEMA: &str = "st-load/v1";
-
-/// Schema tag stamped on every `ingest` replay row.
-pub const INGEST_LEDGER_SCHEMA: &str = "st-ingest/v1";
-
-/// Schema tag stamped on every `serve` run row.
-pub const SERVE_LEDGER_SCHEMA: &str = "st-serve/v1";
+/// The `mode` of a `wire-load` campaign row.
+const LOAD_MODE: &str = "wire-load";
 
 /// FNV-1a offset basis (matches the golden-identity test).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -70,19 +74,39 @@ pub fn artifact_hash(artifacts: &[Artifact]) -> (u64, usize) {
     (h, files.len())
 }
 
-/// One run's summary row. Everything except the four stage durations is
-/// deterministic for a given (code, scale, seed, fault-injection)
-/// tuple — `artifact_hash` in particular is parallelism-invariant.
-#[derive(Debug, Clone, Serialize)]
+/// One run's summary row. Everything except the stage durations,
+/// `rows_per_s` and `peak_rss_kib` is deterministic for a given (code,
+/// mode, scale, seed, chunk plan, fault-injection) tuple —
+/// `artifact_hash` in particular is parallelism-invariant, and equal
+/// across modes.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LedgerRow {
     /// Row schema tag ([`LEDGER_SCHEMA`]).
     pub schema: String,
+    /// The binary that wrote the row: `repro`, `ingest` or `serve`.
+    pub mode: String,
     /// The run's `--scale`.
     pub scale: f64,
     /// The run's `--seed`.
     pub seed: u64,
     /// The run's `--parallelism`.
     pub parallelism: usize,
+    /// Rows per replayed chunk (`--chunk-rows`); replay runs only.
+    pub chunk_rows: Option<usize>,
+    /// Sealed-segment size threshold (`--seal-rows`); replay runs only.
+    pub seal_rows: Option<usize>,
+    /// Accepted rows per published epoch (`--epoch-rows`); `serve` only.
+    pub epoch_rows: Option<usize>,
+    /// Chunks replayed across all campaign streams.
+    pub chunks: u64,
+    /// Rows offered to the incremental sanitizer.
+    pub rows: u64,
+    /// Sealed segments across all frozen stores.
+    pub segments: u64,
+    /// Epochs published, the final epoch included (`serve` only).
+    /// Crossings telescope to `floor(accepted / epoch_rows) + 1`
+    /// regardless of interleave or parallelism.
+    pub epochs: u64,
     /// FNV-1a hash of the artifact file set, as 16 hex digits.
     pub artifact_hash: String,
     /// Files in the hashed artifact set.
@@ -103,27 +127,68 @@ pub struct LedgerRow {
     pub records_quarantined: u64,
     /// Wall-clock seconds of the generate stage.
     pub generate_s: f64,
+    /// Wall-clock seconds of the ingest stage (replay + freeze/drain).
+    pub ingest_s: f64,
     /// Wall-clock seconds of the fit stage.
     pub fit_s: f64,
     /// Wall-clock seconds of the derive stage.
     pub derive_s: f64,
     /// Wall-clock seconds of the render stage.
     pub render_s: f64,
+    /// Ingest throughput, rows per wall-clock second.
+    pub rows_per_s: f64,
+    /// Peak resident set of the process in KiB (`VmHWM`), when the
+    /// platform reports it.
+    pub peak_rss_kib: Option<u64>,
 }
 
-/// Schemas the read side accepts: every batch-comparable row kind.
-/// (`st-load/v1` rows hash a metrics section instead of an artifact set
-/// and are deliberately absent — they have no drift surface here.)
-pub const BATCH_COMPARABLE_SCHEMAS: &[&str] =
-    &[LEDGER_SCHEMA, INGEST_LEDGER_SCHEMA, SERVE_LEDGER_SCHEMA];
-
 impl LedgerRow {
-    /// Parse one ledger line back into the batch-comparable field set —
-    /// the console's read side. Accepts every schema in
-    /// [`BATCH_COMPARABLE_SCHEMAS`] (ingest and serve rows are supersets
-    /// of the batch row; the extra fields are dropped, the actual
-    /// schema tag is kept) and rejects `st-load/v1` rows and unknown
-    /// schemas with a typed message.
+    /// Summarize one completed run. `peak_rss_kib` is left `None`; the
+    /// writer fills it in ([`crate::output::write_run`]).
+    pub fn from_run(
+        mode: &str,
+        parallelism: usize,
+        plan: Option<ChunkPlan>,
+        run: &Run,
+    ) -> LedgerRow {
+        let report = &run.report;
+        let (hash, files) = artifact_hash(&report.artifacts);
+        let (s, t, r) = (&report.health.sanitize, &report.timings, &run.replay);
+        LedgerRow {
+            schema: LEDGER_SCHEMA.to_string(),
+            mode: mode.to_string(),
+            scale: report.scale,
+            seed: report.seed,
+            parallelism,
+            chunk_rows: plan.map(|p| p.ingest.chunk_rows),
+            seal_rows: plan.map(|p| p.ingest.seal_rows),
+            epoch_rows: plan.and_then(|p| p.epoch_rows),
+            chunks: r.chunks,
+            rows: r.rows,
+            segments: r.segments,
+            epochs: r.epochs,
+            artifact_hash: format!("{hash:016x}"),
+            artifact_files: files,
+            artifacts: report.artifacts.len(),
+            headlines: report.headlines.len(),
+            jobs_failed: report.health.jobs_failed,
+            jobs_retried: report.health.jobs_retried,
+            records_clean: s.clean,
+            records_repaired: s.repaired,
+            records_quarantined: s.quarantined,
+            generate_s: t.generate_s,
+            ingest_s: r.ingest_s,
+            fit_s: t.fit_s,
+            derive_s: t.derive_s,
+            render_s: t.render_s,
+            rows_per_s: r.rows_per_s(),
+            peak_rss_kib: None,
+        }
+    }
+
+    /// Parse one ledger line back into the row that wrote it — the
+    /// console's read side. Rejects `wire-load` rows and any schema
+    /// tag other than [`LEDGER_SCHEMA`] with a typed message.
     pub fn parse(line: &str) -> Result<LedgerRow, String> {
         let v = serde_json::from_str(line).map_err(|e| format!("bad ledger JSON: {e}"))?;
         LedgerRow::from_value(&v)
@@ -135,34 +200,39 @@ impl LedgerRow {
             .get("schema")
             .and_then(Value::as_str)
             .ok_or_else(|| "ledger row has no string `schema` tag".to_string())?;
-        if schema == LOAD_LEDGER_SCHEMA {
-            return Err(format!(
-                "{schema} rows carry a metrics hash, not an artifact set — not batch-comparable"
-            ));
-        }
-        if !BATCH_COMPARABLE_SCHEMAS.contains(&schema) {
+        if schema != LEDGER_SCHEMA {
             return Err(format!("unknown ledger schema {schema:?}"));
         }
-        let u64f = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("{schema} row is missing u64 `{k}`"))
+        let field = |k: &str| v.get(k).ok_or_else(|| format!("ledger row is missing `{k}`"));
+        let typed = |k: &str, what: &str| format!("ledger row field `{k}` is not {what}");
+        let string =
+            |k: &str| field(k)?.as_str().map(str::to_string).ok_or_else(|| typed(k, "a string"));
+        let u64f = |k: &str| field(k)?.as_u64().ok_or_else(|| typed(k, "a u64"));
+        let f64f = |k: &str| field(k)?.as_f64_lossy().ok_or_else(|| typed(k, "a number"));
+        let opt = |k: &str| match v.get(k) {
+            None | Some(Value::Null) => Ok(None),
+            Some(x) => x.as_u64().map(Some).ok_or_else(|| typed(k, "a u64 or null")),
         };
-        let f64f = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_f64_lossy)
-                .ok_or_else(|| format!("{schema} row is missing number `{k}`"))
-        };
-        let hash = v
-            .get("artifact_hash")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{schema} row is missing string `artifact_hash`"))?;
+        let mode = string("mode")?;
+        if mode == LOAD_MODE {
+            return Err(format!(
+                "{mode} rows carry a metrics hash, not an artifact set — not batch-comparable"
+            ));
+        }
         Ok(LedgerRow {
             schema: schema.to_string(),
+            mode,
             scale: f64f("scale")?,
             seed: u64f("seed")?,
             parallelism: u64f("parallelism")? as usize,
-            artifact_hash: hash.to_string(),
+            chunk_rows: opt("chunk_rows")?.map(|n| n as usize),
+            seal_rows: opt("seal_rows")?.map(|n| n as usize),
+            epoch_rows: opt("epoch_rows")?.map(|n| n as usize),
+            chunks: u64f("chunks")?,
+            rows: u64f("rows")?,
+            segments: u64f("segments")?,
+            epochs: u64f("epochs")?,
+            artifact_hash: string("artifact_hash")?,
             artifact_files: u64f("artifact_files")? as usize,
             artifacts: u64f("artifacts")? as usize,
             headlines: u64f("headlines")? as usize,
@@ -172,9 +242,12 @@ impl LedgerRow {
             records_repaired: u64f("records_repaired")?,
             records_quarantined: u64f("records_quarantined")?,
             generate_s: f64f("generate_s")?,
+            ingest_s: f64f("ingest_s")?,
             fit_s: f64f("fit_s")?,
             derive_s: f64f("derive_s")?,
             render_s: f64f("render_s")?,
+            rows_per_s: f64f("rows_per_s")?,
+            peak_rss_kib: opt("peak_rss_kib")?,
         })
     }
 
@@ -209,8 +282,8 @@ impl LedgerRow {
     /// Drift flags for this row against a baseline row, one line per
     /// divergent key. Empty means the runs are batch-identical where
     /// the determinism contract requires it: seed, the counter surface,
-    /// and the artifact hash. The schema tag and `parallelism` are
-    /// exempt — comparing a serve run against a batch baseline across
+    /// and the artifact hash. `mode` and `parallelism` are exempt —
+    /// comparing a serve run against a batch baseline across
     /// parallelism levels is exactly the console's job.
     pub fn drift_against(&self, baseline: &LedgerRow) -> Vec<String> {
         let mut flags = Vec::new();
@@ -223,9 +296,6 @@ impl LedgerRow {
             DiffOptions::default(),
         );
         for d in &diff.drift {
-            if d.section == "schema" {
-                continue;
-            }
             flags.push(format!("{} {}: {}", d.section, d.key, d.detail));
         }
         if self.artifact_hash != baseline.artifact_hash {
@@ -236,252 +306,25 @@ impl LedgerRow {
         }
         flags
     }
+}
 
-    /// Summarize one completed run.
-    pub fn from_report(report: &ReproReport, parallelism: usize) -> LedgerRow {
-        let (hash, files) = artifact_hash(&report.artifacts);
-        let s = &report.health.sanitize;
-        LedgerRow {
-            schema: LEDGER_SCHEMA.to_string(),
-            scale: report.scale,
-            seed: report.seed,
-            parallelism,
-            artifact_hash: format!("{hash:016x}"),
-            artifact_files: files,
-            artifacts: report.artifacts.len(),
-            headlines: report.headlines.len(),
-            jobs_failed: report.health.jobs_failed,
-            jobs_retried: report.health.jobs_retried,
-            records_clean: s.clean,
-            records_repaired: s.repaired,
-            records_quarantined: s.quarantined,
-            generate_s: report.timings.generate_s,
-            fit_s: report.timings.fit_s,
-            derive_s: report.timings.derive_s,
-            render_s: report.timings.render_s,
-        }
+/// The process's peak resident set in KiB, from `/proc/self/status`;
+/// `None` where that file or its `VmHWM` line is missing or malformed.
+pub fn peak_rss_kib() -> Option<u64> {
+    vm_hwm_kib(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM:  1234 kB` line of a `/proc/<pid>/status` text, in KiB.
+fn vm_hwm_kib(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    match line.split_whitespace().collect::<Vec<_>>()[..] {
+        [kib, "kB"] => kib.parse().ok(),
+        _ => None,
     }
 }
 
-/// One incremental-ingest replay's summary row (schema
-/// [`INGEST_LEDGER_SCHEMA`]). `artifact_hash` uses the same FNV-1a scheme
-/// as [`LedgerRow`], so an ingest row can be compared field-for-field
-/// against a batch row: equal hashes mean the chunked replay reproduced
-/// the batch artifact set byte for byte. Chunk counts and segment counts
-/// are deterministic for a given (code, scale, seed, chunk plan) tuple;
-/// the stage durations and `rows_per_s` are wall-clock class.
-#[derive(Debug, Clone, Serialize)]
-pub struct IngestLedgerRow {
-    /// Row schema tag ([`INGEST_LEDGER_SCHEMA`]).
-    pub schema: String,
-    /// The run's `--scale`.
-    pub scale: f64,
-    /// The run's `--seed`.
-    pub seed: u64,
-    /// The run's `--parallelism`.
-    pub parallelism: usize,
-    /// Rows per replayed chunk (`--chunk-rows`).
-    pub chunk_rows: usize,
-    /// Sealed-segment size threshold (`--seal-rows`).
-    pub seal_rows: usize,
-    /// Chunks appended across all campaign streams.
-    pub chunks: u64,
-    /// Rows offered to the incremental sanitizer.
-    pub rows: u64,
-    /// Sealed segments across all stores after freeze.
-    pub segments: u64,
-    /// FNV-1a hash of the artifact file set, as 16 hex digits —
-    /// comparable against batch rows and the pinned golden value.
-    pub artifact_hash: String,
-    /// Files in the hashed artifact set.
-    pub artifact_files: usize,
-    /// Artifacts produced (placeholders included).
-    pub artifacts: usize,
-    /// Headline numbers produced.
-    pub headlines: usize,
-    /// Render jobs that failed both attempts.
-    pub jobs_failed: usize,
-    /// Render jobs that survived on their retry.
-    pub jobs_retried: usize,
-    /// Records the sanitizer passed through untouched.
-    pub records_clean: u64,
-    /// Records the sanitizer repaired.
-    pub records_repaired: u64,
-    /// Records the sanitizer quarantined.
-    pub records_quarantined: u64,
-    /// Wall-clock seconds of the generate stage.
-    pub generate_s: f64,
-    /// Wall-clock seconds of the ingest stage (chunk replay + freeze).
-    pub ingest_s: f64,
-    /// Wall-clock seconds of the fit stage.
-    pub fit_s: f64,
-    /// Wall-clock seconds of the derive stage.
-    pub derive_s: f64,
-    /// Wall-clock seconds of the render stage.
-    pub render_s: f64,
-    /// Ingest throughput, rows per wall-clock second (wall-clock class).
-    pub rows_per_s: f64,
-}
-
-impl IngestLedgerRow {
-    /// Summarize one completed ingest replay.
-    pub fn from_report(
-        report: &ReproReport,
-        parallelism: usize,
-        chunk_rows: usize,
-        seal_rows: usize,
-        ingest: &crate::ReplayStats,
-    ) -> IngestLedgerRow {
-        let (hash, files) = artifact_hash(&report.artifacts);
-        let s = &report.health.sanitize;
-        IngestLedgerRow {
-            schema: INGEST_LEDGER_SCHEMA.to_string(),
-            scale: report.scale,
-            seed: report.seed,
-            parallelism,
-            chunk_rows,
-            seal_rows,
-            chunks: ingest.chunks,
-            rows: ingest.rows,
-            segments: ingest.segments,
-            artifact_hash: format!("{hash:016x}"),
-            artifact_files: files,
-            artifacts: report.artifacts.len(),
-            headlines: report.headlines.len(),
-            jobs_failed: report.health.jobs_failed,
-            jobs_retried: report.health.jobs_retried,
-            records_clean: s.clean,
-            records_repaired: s.repaired,
-            records_quarantined: s.quarantined,
-            generate_s: report.timings.generate_s,
-            ingest_s: ingest.ingest_s,
-            fit_s: report.timings.fit_s,
-            derive_s: report.timings.derive_s,
-            render_s: report.timings.render_s,
-            rows_per_s: if ingest.ingest_s > 0.0 {
-                ingest.rows as f64 / ingest.ingest_s
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
-/// One `serve` run's summary row (schema [`SERVE_LEDGER_SCHEMA`]).
-/// `artifact_hash` uses the same FNV-1a scheme as every other row kind,
-/// so a serve row is batch-comparable: equal hashes mean the service's
-/// final epoch republished the batch artifact set byte for byte.
-/// `chunks`, `rows`, `segments`, and `epochs` are deterministic for a
-/// given (code, scale, seed, chunk plan, epoch size) tuple — epochs in
-/// particular because boundary crossings telescope to
-/// `floor(accepted / epoch_rows) + 1` regardless of interleave or
-/// parallelism. The stage durations and `rows_per_s` (sustained ingest
-/// throughput through the service path) are wall-clock class.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServeLedgerRow {
-    /// Row schema tag ([`SERVE_LEDGER_SCHEMA`]).
-    pub schema: String,
-    /// The run's `--scale`.
-    pub scale: f64,
-    /// The run's `--seed`.
-    pub seed: u64,
-    /// The run's `--parallelism`.
-    pub parallelism: usize,
-    /// Rows per streamed chunk (`--chunk-rows`).
-    pub chunk_rows: usize,
-    /// Sealed-segment size threshold (`--seal-rows`).
-    pub seal_rows: usize,
-    /// Accepted rows per published epoch (`--epoch-rows`).
-    pub epoch_rows: usize,
-    /// Chunks streamed through the service.
-    pub chunks: u64,
-    /// Rows offered to the incremental sanitizer.
-    pub rows: u64,
-    /// Sealed segments across all frozen stores after drain.
-    pub segments: u64,
-    /// Epochs published (warm crossings plus the final epoch).
-    pub epochs: u64,
-    /// FNV-1a hash of the artifact file set, as 16 hex digits —
-    /// comparable against batch and ingest rows and the pinned golden
-    /// value.
-    pub artifact_hash: String,
-    /// Files in the hashed artifact set.
-    pub artifact_files: usize,
-    /// Artifacts produced (placeholders included).
-    pub artifacts: usize,
-    /// Headline numbers produced.
-    pub headlines: usize,
-    /// Render jobs that failed both attempts.
-    pub jobs_failed: usize,
-    /// Render jobs that survived on their retry.
-    pub jobs_retried: usize,
-    /// Records the sanitizer passed through untouched.
-    pub records_clean: u64,
-    /// Records the sanitizer repaired.
-    pub records_repaired: u64,
-    /// Records the sanitizer quarantined.
-    pub records_quarantined: u64,
-    /// Wall-clock seconds of the generate stage.
-    pub generate_s: f64,
-    /// Wall-clock seconds of the streaming stage (chunks + drain).
-    pub ingest_s: f64,
-    /// Wall-clock seconds of the fit stage.
-    pub fit_s: f64,
-    /// Wall-clock seconds of the derive stage.
-    pub derive_s: f64,
-    /// Wall-clock seconds of the render stage.
-    pub render_s: f64,
-    /// Sustained ingest throughput, rows per wall-clock second
-    /// (wall-clock class).
-    pub rows_per_s: f64,
-}
-
-impl ServeLedgerRow {
-    /// Summarize one completed serve run. `epochs` should count the
-    /// final epoch too (i.e. the value *after* `publish_final`).
-    pub fn from_report(
-        report: &ReproReport,
-        parallelism: usize,
-        chunk_rows: usize,
-        seal_rows: usize,
-        epoch_rows: usize,
-        stats: &crate::ReplayStats,
-        epochs: u64,
-    ) -> ServeLedgerRow {
-        let (hash, files) = artifact_hash(&report.artifacts);
-        let s = &report.health.sanitize;
-        ServeLedgerRow {
-            schema: SERVE_LEDGER_SCHEMA.to_string(),
-            scale: report.scale,
-            seed: report.seed,
-            parallelism,
-            chunk_rows,
-            seal_rows,
-            epoch_rows,
-            chunks: stats.chunks,
-            rows: stats.rows,
-            segments: stats.segments,
-            epochs,
-            artifact_hash: format!("{hash:016x}"),
-            artifact_files: files,
-            artifacts: report.artifacts.len(),
-            headlines: report.headlines.len(),
-            jobs_failed: report.health.jobs_failed,
-            jobs_retried: report.health.jobs_retried,
-            records_clean: s.clean,
-            records_repaired: s.repaired,
-            records_quarantined: s.quarantined,
-            generate_s: report.timings.generate_s,
-            ingest_s: stats.ingest_s,
-            fit_s: report.timings.fit_s,
-            derive_s: report.timings.derive_s,
-            render_s: report.timings.render_s,
-            rows_per_s: if stats.ingest_s > 0.0 { stats.rows as f64 / stats.ingest_s } else { 0.0 },
-        }
-    }
-}
-
-/// One `wire-load` campaign's summary row (schema [`LOAD_LEDGER_SCHEMA`]).
+/// One `wire-load` campaign's summary row ([`LEDGER_SCHEMA`], mode
+/// `wire-load`).
 /// Every field up to `breaker_trips` is deterministic for a given
 /// (code, sessions, seed, fault-rate, pool) tuple — `metrics_hash` in
 /// particular is parallelism-invariant, which is what the `chaos-smoke`
@@ -489,8 +332,10 @@ impl ServeLedgerRow {
 /// wall-clock class.
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadLedgerRow {
-    /// Row schema tag ([`LOAD_LEDGER_SCHEMA`]).
+    /// Row schema tag ([`LEDGER_SCHEMA`]).
     pub schema: String,
+    /// Always `wire-load`.
+    pub mode: String,
     /// The campaign's `--seed` (fault schedule + backoff jitter).
     pub seed: u64,
     /// The campaign's `--fault-rate`.
@@ -549,7 +394,8 @@ impl LoadLedgerRow {
         parallelism: usize,
     ) -> LoadLedgerRow {
         LoadLedgerRow {
-            schema: LOAD_LEDGER_SCHEMA.to_string(),
+            schema: LEDGER_SCHEMA.to_string(),
+            mode: LOAD_MODE.to_string(),
             seed,
             fault_rate,
             sessions: summary.sessions_total,
@@ -576,8 +422,8 @@ impl LoadLedgerRow {
 
 /// Append one row to the JSON Lines ledger at `path`, creating the file
 /// on first use. Strictly append-only: existing rows are never touched.
-/// Accepts any serializable row type ([`LedgerRow`], [`LoadLedgerRow`]);
-/// the `schema` field tells readers apart.
+/// Accepts either row type ([`LedgerRow`], [`LoadLedgerRow`]); the
+/// `mode` field tells readers apart.
 pub fn append_ledger<T: Serialize>(path: &Path, row: &T) -> std::io::Result<()> {
     let json = serde_json::to_string(row)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
@@ -625,7 +471,7 @@ impl LedgerTail {
         &self.path
     }
 
-    /// Batch-comparable rows completed since the last poll. `st-load/v1`
+    /// Batch-comparable rows completed since the last poll. `wire-load`
     /// rows share the file but have no artifact surface, so they are
     /// skipped rather than errors; any other unparseable row is an
     /// error naming the file. A file that shrank (rotation) restarts
@@ -654,7 +500,7 @@ impl LedgerTail {
             }
             let v: Value = serde_json::from_str(line)
                 .map_err(|e| format!("{}: bad ledger row: {e}", self.path.display()))?;
-            if v.get("schema").and_then(Value::as_str) == Some(LOAD_LEDGER_SCHEMA) {
+            if v.get("mode").and_then(Value::as_str) == Some(LOAD_MODE) {
                 continue;
             }
             rows.push(LedgerRow::from_value(&v)?);
@@ -690,53 +536,22 @@ mod tests {
         assert_ne!(artifact_hash(&[changed, b]).0, fwd.0);
     }
 
-    #[test]
-    fn ledger_appends_one_parseable_line_per_row() {
-        let dir = std::env::temp_dir().join(format!("st-ledger-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_ledger.jsonl");
-        let _ = std::fs::remove_file(&path);
-
-        let mut row = LedgerRow {
-            schema: LEDGER_SCHEMA.to_string(),
-            scale: 0.004,
-            seed: 2024,
-            parallelism: 1,
-            artifact_hash: format!("{:016x}", 0xabcdu64),
-            artifact_files: 89,
-            artifacts: 40,
-            headlines: 12,
-            jobs_failed: 0,
-            jobs_retried: 0,
-            records_clean: 1000,
-            records_repaired: 0,
-            records_quarantined: 0,
-            generate_s: 1.0,
-            fit_s: 2.0,
-            derive_s: 0.1,
-            render_s: 3.0,
-        };
-        append_ledger(&path, &row).expect("first append");
-        row.parallelism = 4;
-        append_ledger(&path, &row).expect("second append");
-
-        let rows = read_ledger(&path).expect("ledger parses");
-        assert_eq!(rows.len(), 2, "append-only: both rows survive");
-        for r in &rows {
-            assert_eq!(r.get("schema").and_then(Value::as_str), Some(LEDGER_SCHEMA));
-            assert_eq!(r.get("artifact_files").and_then(Value::as_u64), Some(89));
-        }
-        assert_eq!(rows[0].get("parallelism").and_then(Value::as_u64), Some(1));
-        assert_eq!(rows[1].get("parallelism").and_then(Value::as_u64), Some(4));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    fn sample_row() -> LedgerRow {
+    /// A row of `mode` as its binary would write it.
+    fn row(mode: &str) -> LedgerRow {
+        let replay = mode != "repro";
         LedgerRow {
             schema: LEDGER_SCHEMA.to_string(),
+            mode: mode.to_string(),
             scale: 0.004,
             seed: 2024,
             parallelism: 1,
+            chunk_rows: replay.then_some(500),
+            seal_rows: replay.then_some(2048),
+            epoch_rows: (mode == "serve").then_some(1500),
+            chunks: if replay { 9 } else { 0 },
+            rows: if replay { 4150 } else { 0 },
+            segments: if replay { 14 } else { 0 },
+            epochs: if mode == "serve" { 3 } else { 0 },
             artifact_hash: format!("{:016x}", 0xabcdu64),
             artifact_files: 89,
             artifacts: 40,
@@ -747,71 +562,69 @@ mod tests {
             records_repaired: 3,
             records_quarantined: 2,
             generate_s: 1.0,
+            ingest_s: if replay { 0.5 } else { 0.0 },
             fit_s: 2.0,
             derive_s: 0.1,
             render_s: 3.0,
+            rows_per_s: if replay { 8300.0 } else { 0.0 },
+            peak_rss_kib: (mode != "ingest").then_some(43_210),
         }
     }
 
-    #[test]
-    fn parse_round_trips_every_batch_comparable_schema() {
-        let mut row = sample_row();
-        for schema in BATCH_COMPARABLE_SCHEMAS {
-            row.schema = schema.to_string();
-            let line = serde_json::to_string(&row).expect("row serializes");
-            let back = LedgerRow::parse(&line).expect("row parses back");
-            assert_eq!(back.schema, *schema, "the actual schema tag is kept");
-            assert_eq!(back.seed, row.seed);
-            assert_eq!(back.artifact_hash, row.artifact_hash);
-            assert_eq!(back.records_clean, 1000);
-        }
-        // Superset rows (ingest/serve) parse down to the common subset:
-        // extra fields are simply ignored.
-        let line = format!(
-            "{{\"schema\":\"{INGEST_LEDGER_SCHEMA}\",\"scale\":0.05,\"seed\":7,\
-             \"parallelism\":4,\"chunk_rows\":500,\"seal_rows\":4096,\"chunks\":9,\
-             \"rows\":100,\"segments\":2,\"artifact_hash\":\"00000000000000aa\",\
-             \"artifact_files\":89,\"artifacts\":40,\"headlines\":12,\
-             \"jobs_failed\":0,\"jobs_retried\":0,\"records_clean\":98,\
-             \"records_repaired\":1,\"records_quarantined\":1,\"generate_s\":1.0,\
-             \"ingest_s\":0.5,\"fit_s\":2.0,\"derive_s\":0.1,\"render_s\":3.0,\
-             \"rows_per_s\":200.0}}"
-        );
-        let back = LedgerRow::parse(&line).expect("ingest row parses");
-        assert_eq!(back.schema, INGEST_LEDGER_SCHEMA);
-        assert_eq!(back.records_clean, 98);
+    fn temp_ledger(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("st-ledger-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("BENCH_ledger.jsonl");
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
-    fn parse_rejects_load_rows_unknown_schemas_and_torn_fields() {
-        let load = format!("{{\"schema\":\"{LOAD_LEDGER_SCHEMA}\",\"seed\":1}}");
+    fn every_mode_round_trips_through_the_tail_and_load_rows_are_skipped() {
+        let path = temp_ledger("modes");
+        let mut tail = LedgerTail::new(&path);
+        assert_eq!(tail.poll().expect("missing file is empty"), vec![]);
+        for mode in ["repro", "ingest", "serve"] {
+            append_ledger(&path, &row(mode)).expect("append");
+            let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+            writeln!(file, "{{\"schema\":\"{LEDGER_SCHEMA}\",\"mode\":\"{LOAD_MODE}\"}}").unwrap();
+        }
+        let rows = tail.poll().expect("poll");
+        assert_eq!(rows, vec![row("repro"), row("ingest"), row("serve")]);
+        assert_eq!(tail.poll().expect("steady state"), vec![], "no re-reads");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn parse_rejects_load_rows_retired_and_unknown_schemas_and_torn_fields() {
+        let load = format!("{{\"schema\":\"{LEDGER_SCHEMA}\",\"mode\":\"{LOAD_MODE}\"}}");
         assert!(LedgerRow::parse(&load).unwrap_err().contains("not batch-comparable"));
-        assert!(LedgerRow::parse("{\"schema\":\"st-mystery/v9\"}")
-            .unwrap_err()
-            .contains("unknown ledger schema"));
+        // The retired v1 tags (batch and serve rows) and a made-up one.
+        for schema in ["ledger/v1", "serve/v1", "mystery/v9"].map(|tag| format!("st-{tag}")) {
+            let line = serde_json::to_string(&LedgerRow { schema, ..row("serve") }).unwrap();
+            let err = LedgerRow::parse(&line).unwrap_err();
+            assert!(err.contains("unknown ledger schema"), "{line}: {err}");
+        }
         assert!(LedgerRow::parse("{\"seed\":1}").unwrap_err().contains("schema"));
         assert!(LedgerRow::parse("not json").unwrap_err().contains("bad ledger JSON"));
-        // A known schema with missing fields names the first one it
-        // needed (the hash is extracted before the counters).
-        let torn = format!("{{\"schema\":\"{LEDGER_SCHEMA}\",\"scale\":0.004}}");
-        assert!(LedgerRow::parse(&torn).unwrap_err().contains("artifact_hash"));
+        let torn = format!("{{\"schema\":\"{LEDGER_SCHEMA}\",\"mode\":\"repro\",\"scale\":0.004}}");
+        assert!(LedgerRow::parse(&torn).unwrap_err().contains("`seed`"));
     }
 
     #[test]
-    fn drift_flags_fire_on_divergence_and_stay_silent_across_run_kinds() {
-        let baseline = sample_row();
-        // Same deterministic surface, different run kind, different
-        // parallelism, different timings: no drift.
-        let mut serve = sample_row();
-        serve.schema = SERVE_LEDGER_SCHEMA.to_string();
-        serve.parallelism = 4;
-        serve.render_s = 99.0;
+    fn drift_flags_fire_on_divergence_and_a_serve_row_matches_a_repro_row() {
+        let baseline = row("repro");
+        // Same deterministic surface, different mode, parallelism and
+        // timings: no drift.
+        let serve = LedgerRow { parallelism: 4, render_s: 99.0, ..row("serve") };
         assert_eq!(serve.drift_against(&baseline), Vec::<String>::new());
         // Divergent counters, hash, and seed each produce a flag.
-        let mut bad = sample_row();
-        bad.seed = 2025;
-        bad.records_quarantined = 7;
-        bad.artifact_hash = format!("{:016x}", 0xbeefu64);
+        let bad = LedgerRow {
+            seed: 2025,
+            records_quarantined: 7,
+            artifact_hash: format!("{:016x}", 0xbeefu64),
+            ..row("repro")
+        };
         let flags = bad.drift_against(&baseline);
         assert!(flags.iter().any(|f| f.starts_with("seed:")), "{flags:?}");
         assert!(flags.iter().any(|f| f.contains("ledger.records_quarantined")), "{flags:?}");
@@ -819,36 +632,33 @@ mod tests {
     }
 
     #[test]
-    fn tail_consumes_only_finished_lines_and_skips_load_rows() {
+    fn tail_consumes_only_finished_lines() {
         use std::io::Write as _;
-        let dir = std::env::temp_dir().join(format!("st-tail-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_ledger.jsonl");
-        let _ = std::fs::remove_file(&path);
-
+        let path = temp_ledger("torn");
         let mut tail = LedgerTail::new(&path);
-        assert_eq!(tail.poll().expect("missing file is empty").len(), 0);
-
-        append_ledger(&path, &sample_row()).expect("append");
-        let rows = tail.poll().expect("first poll");
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].seed, 2024);
-        assert_eq!(tail.poll().expect("steady state").len(), 0, "no re-reads");
-
-        // A load row shares the file and is skipped; a torn final line
-        // (no newline yet) is not consumed until its writer finishes.
-        let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("reopen ledger");
-        writeln!(file, "{{\"schema\":\"{LOAD_LEDGER_SCHEMA}\",\"seed\":1}}").unwrap();
-        let full = serde_json::to_string(&sample_row()).unwrap();
+        let full = serde_json::to_string(&row("repro")).unwrap();
         let (head, rest) = full.split_at(10);
+        let mut file =
+            std::fs::OpenOptions::new().create(true).append(true).open(&path).expect("ledger");
         write!(file, "{head}").unwrap();
         file.flush().unwrap();
-        assert_eq!(tail.poll().expect("torn line poll").len(), 0);
+        assert_eq!(tail.poll().expect("torn line poll"), vec![]);
         // Finish the torn line into a full row: now it arrives, once.
         writeln!(file, "{rest}").unwrap();
         drop(file);
-        let rows = tail.poll().expect("completed line poll");
-        assert_eq!(rows.len(), 1, "exactly the finished row, the load row skipped");
+        assert_eq!(tail.poll().expect("completed line poll"), vec![row("repro")]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn vm_hwm_parses_the_status_line_or_nothing() {
+        let status = "Name:\trepro\nVmPeak:\t  99 kB\nVmHWM:\t   43210 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(vm_hwm_kib(status), Some(43_210));
+        assert_eq!(vm_hwm_kib("Name:\trepro\nVmRSS:\t 1 kB\n"), None, "missing line");
+        for garbage in
+            ["VmHWM:", "VmHWM:\tlots kB", "VmHWM:\t12 MB", "VmHWM: 1 kB 2", "\u{0}\u{ff}"]
+        {
+            assert_eq!(vm_hwm_kib(garbage), None, "{garbage:?}");
+        }
     }
 }

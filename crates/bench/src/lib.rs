@@ -249,11 +249,24 @@ pub struct ReplayStats {
     /// Sealed segments across all frozen stores.
     pub segments: u64,
     /// Warm epochs the service published while streaming — a pure
-    /// function of the accepted-row total and the epoch size (the final
-    /// epoch adds one more at `publish_final`). Zero on [`Feed::Chunks`].
+    /// function of the accepted-row total and the epoch size. The final
+    /// epoch adds one more at `publish_final`; the `serve` binary counts
+    /// it here before writing its ledger row. Zero on [`Feed::Chunks`].
     pub epochs: u64,
     /// Wall-clock seconds of the `ingest` stage (chunks + freeze/drain).
     pub ingest_s: f64,
+}
+
+impl ReplayStats {
+    /// Ingest throughput in rows per wall-clock second; 0 when nothing
+    /// was replayed.
+    pub fn rows_per_s(&self) -> f64 {
+        if self.ingest_s > 0.0 {
+            self.rows as f64 / self.ingest_s
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Everything one run of the chain produces.

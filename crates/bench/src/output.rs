@@ -4,13 +4,16 @@
 //! [`write_run`] writes, into `--out`:
 //!
 //! * `<id>.svg` / `<id>.json` for every artifact;
-//! * `BENCH_timings.json` — the run's knobs and stage wall-clocks;
+//! * `BENCH_timings.json` — the run's ledger row, pretty-printed: its
+//!   knobs, chunk plan, replay counts, artifact hash, stage wall-clocks
+//!   and peak RSS;
 //! * `BENCH_metrics.json` (with `--metrics`) — the metrics snapshot: a
 //!   `deterministic` section that is byte-identical at every parallelism
 //!   level and a `wall_clock` section that is not (DESIGN.md §14);
 //! * `BENCH_trace.json` — the span tree and lifecycle events in Chrome
 //!   Trace Event Format;
-//! * one row appended to `BENCH_ledger.jsonl`;
+//! * the same row appended to `BENCH_ledger.jsonl` (see
+//!   [`crate::ledger`]);
 //! * `report.md` — the report plus the paper's shape claims, also
 //!   printed to stdout.
 //!
@@ -22,16 +25,15 @@
 
 use crate::cli::CommonArgs;
 use crate::diff::{diff_metrics, MetricsDoc};
-use crate::ledger::append_ledger;
-use crate::{claims, render_report, IngestOptions, Run, StageTimings};
-use serde::json::Writer;
+use crate::ledger::{append_ledger, peak_rss_kib, LedgerRow};
+use crate::{claims, render_report, IngestOptions, Run};
 use serde::Serialize;
 use st_obs::Registry;
 use std::path::Path;
 use std::process::ExitCode;
 
-/// The chunk plan of a replay run: what `BENCH_timings.json` and the
-/// trace name carry beyond the shared flags.
+/// The chunk plan of a replay run: what the ledger row and the trace
+/// name carry beyond the shared flags.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkPlan {
     /// Chunk and seal sizes.
@@ -71,40 +73,6 @@ impl Outcome {
     }
 }
 
-/// `BENCH_timings.json`: the run's knobs, then the stage wall-clocks. A
-/// replay run adds its chunk plan and the `ingest` stage's seconds.
-struct TimingsRecord<'a> {
-    args: &'a CommonArgs,
-    plan: Option<ChunkPlan>,
-    timings: StageTimings,
-    ingest_s: f64,
-}
-
-impl Serialize for TimingsRecord<'_> {
-    fn write_json(&self, w: &mut Writer) {
-        fn field(w: &mut Writer, key: &str, value: &impl Serialize) {
-            w.key(key);
-            value.write_json(w);
-        }
-        w.begin_object();
-        field(w, "scale", &self.args.scale);
-        field(w, "seed", &self.args.seed);
-        field(w, "parallelism", &self.args.parallelism);
-        if let Some(plan) = &self.plan {
-            field(w, "chunk_rows", &plan.ingest.chunk_rows);
-            field(w, "seal_rows", &plan.ingest.seal_rows);
-            if let Some(epoch_rows) = &plan.epoch_rows {
-                field(w, "epoch_rows", epoch_rows);
-            }
-        }
-        field(w, "timings", &self.timings);
-        if self.plan.is_some() {
-            field(w, "ingest_s", &self.ingest_s);
-        }
-        w.end_object();
-    }
-}
-
 /// The `BENCH_metrics.json` schema: the run header, then the two metric
 /// classes. The deterministic section is byte-identical at every
 /// parallelism level; `wall_clock` (and the header's `parallelism`) is
@@ -135,17 +103,15 @@ fn write_file(path: &Path, contents: &str, outcome: &mut Outcome) -> bool {
 }
 
 /// Write everything `run` produced (see the module docs) and diff it
-/// against `--baseline`. `bin` names the binary in the trace and in
-/// progress messages; `plan` is the chunk plan of a replay run;
-/// `ledger_row` is the row appended to `BENCH_ledger.jsonl`. `obs` must
-/// be the enabled registry the run recorded into.
+/// against `--baseline`. `mode` names the binary in the ledger row, the
+/// trace and progress messages; `plan` is the chunk plan of a replay
+/// run. `obs` must be the enabled registry the run recorded into.
 pub fn write_run(
     args: &CommonArgs,
-    bin: &str,
+    mode: &str,
     plan: Option<ChunkPlan>,
     run: &Run,
     obs: &Registry,
-    ledger_row: &impl Serialize,
 ) -> Outcome {
     let report = &run.report;
     let mut outcome = Outcome { degraded: report.health.is_degraded(), ..Outcome::default() };
@@ -162,10 +128,12 @@ pub fn write_run(
         write_file(&out.join(format!("{}.json", a.id)), &a.json, &mut outcome);
     }
 
-    let timings =
-        TimingsRecord { args, plan, timings: report.timings, ingest_s: run.replay.ingest_s };
+    let row = LedgerRow {
+        peak_rss_kib: peak_rss_kib(),
+        ..LedgerRow::from_run(mode, args.parallelism, plan, run)
+    };
     let timings_path = out.join("BENCH_timings.json");
-    let timings_json = serde_json::to_string_pretty(&timings).expect("timings serialize");
+    let timings_json = serde_json::to_string_pretty(&row).expect("ledger row serializes");
     if write_file(&timings_path, &timings_json, &mut outcome) {
         eprintln!("wrote {}", timings_path.display());
     }
@@ -191,7 +159,7 @@ pub fn write_run(
 
     // The process name leaves out parallelism: with `ts`/`dur` stripped,
     // the trace is byte-identical at every parallelism level.
-    let mut process = format!("{bin} scale={} seed={}", args.scale, args.seed);
+    let mut process = format!("{mode} scale={} seed={}", args.scale, args.seed);
     if let Some(plan) = &plan {
         process.push_str(&format!(" chunk_rows={}", plan.ingest.chunk_rows));
         if let Some(epoch_rows) = plan.epoch_rows {
@@ -204,10 +172,10 @@ pub fn write_run(
     }
 
     let ledger_path = out.join("BENCH_ledger.jsonl");
-    match append_ledger(&ledger_path, ledger_row) {
+    match append_ledger(&ledger_path, &row) {
         Ok(()) => {
             outcome.written += 1;
-            eprintln!("appended {bin} ledger row to {}", ledger_path.display());
+            eprintln!("appended {mode} ledger row to {}", ledger_path.display());
         }
         Err(e) => {
             outcome.write_failures += 1;
@@ -232,8 +200,7 @@ pub fn write_run(
     let mut stages = format!("generate {:.1}s", t.generate_s);
     if plan.is_some() {
         let r = &run.replay;
-        let rows_per_s = if r.ingest_s > 0.0 { r.rows as f64 / r.ingest_s } else { 0.0 };
-        stages.push_str(&format!(" | ingest {:.1}s ({rows_per_s:.0} rows/s)", r.ingest_s));
+        stages.push_str(&format!(" | ingest {:.1}s ({:.0} rows/s)", r.ingest_s, r.rows_per_s()));
     }
     eprintln!(
         "{stages} | fit {:.1}s | derive {:.1}s | render {:.1}s",
@@ -293,7 +260,6 @@ fn baseline_matches(baseline: &Path, metrics_json: &str, args: &CommonArgs) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::LedgerRow;
     use crate::{run, Feed};
 
     #[test]
@@ -312,9 +278,8 @@ mod tests {
         .unwrap();
         let obs = Registry::new();
         let run = run(&args.run_options(), Feed::Batch(None), &obs).unwrap();
-        let row = LedgerRow::from_report(&run.report, args.parallelism);
 
-        let outcome = write_run(&args, "repro", None, &run, &obs, &row);
+        let outcome = write_run(&args, "repro", None, &run, &obs);
 
         assert_eq!(outcome.write_failures, 1, "{outcome:?}");
         assert!(!outcome.degraded);
@@ -331,6 +296,18 @@ mod tests {
             "BENCH_ledger.jsonl",
         ] {
             assert!(dir.join(file).is_file(), "{file} was not written");
+        }
+        // BENCH_timings.json is the ledger row, pretty-printed.
+        let read = |f: &str| std::fs::read_to_string(dir.join(f)).unwrap();
+        let row = LedgerRow::parse(read("BENCH_ledger.jsonl").trim_end()).unwrap();
+        let timings = serde_json::from_str(&read("BENCH_timings.json")).unwrap();
+        assert_eq!(LedgerRow::from_value(&timings).unwrap(), row);
+        assert_eq!(
+            (row.mode.as_str(), row.parallelism, row.chunk_rows),
+            ("repro", args.parallelism, None)
+        );
+        if cfg!(target_os = "linux") {
+            assert!(row.peak_rss_kib.is_some_and(|kib| kib > 0), "{row:?}");
         }
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(outcome.written, files - 1, "every file but the squatter was counted");

@@ -4,7 +4,7 @@
 //! clean run, and a headless smoke against a live query listener
 //! proving the two-pane frame contract end to end over real TCP.
 
-use st_bench::ledger::{append_ledger, LedgerRow};
+use st_bench::ledger::{append_ledger, LedgerRow, LEDGER_SCHEMA};
 use st_obs::Registry;
 use st_serve::{ContextService, PartitionSpec, QueryServer, ServeOptions};
 use st_speedtest::{Access, Measurement, Platform};
@@ -25,10 +25,18 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn sample_row() -> LedgerRow {
     LedgerRow {
-        schema: "st-ledger/v1".to_string(),
+        schema: LEDGER_SCHEMA.to_string(),
+        mode: "repro".to_string(),
         scale: 0.004,
         seed: 2024,
         parallelism: 1,
+        chunk_rows: None,
+        seal_rows: None,
+        epoch_rows: None,
+        chunks: 0,
+        rows: 0,
+        segments: 0,
+        epochs: 0,
         artifact_hash: "0e774be692875897".to_string(),
         artifact_files: 89,
         artifacts: 89,
@@ -39,9 +47,12 @@ fn sample_row() -> LedgerRow {
         records_repaired: 120,
         records_quarantined: 30,
         generate_s: 0.5,
+        ingest_s: 0.0,
         fit_s: 0.2,
         derive_s: 0.1,
         render_s: 0.3,
+        rows_per_s: 0.0,
+        peak_rss_kib: Some(40_000),
     }
 }
 
@@ -83,7 +94,8 @@ fn unreadable_or_rowless_baseline_is_a_usage_error() {
     // A baseline with no batch-comparable row (e.g. only a load row)
     // cannot anchor a comparison either.
     let empty = dir.join("empty.jsonl");
-    std::fs::write(&empty, "{\"schema\":\"st-load/v1\"}\n").unwrap();
+    std::fs::write(&empty, format!("{{\"schema\":\"{LEDGER_SCHEMA}\",\"mode\":\"wire-load\"}}\n"))
+        .unwrap();
     let rowless = console(&[
         "--ledger",
         "whatever.jsonl",
@@ -175,7 +187,7 @@ fn headless_console_observes_a_live_server_and_flags_drift() {
         "metrics poll fills the outcome totals: {pane:?}"
     );
     assert!(
-        pane.iter().any(|l| l.contains("run: st-ledger/v1") && l.contains("seed 2024")),
+        pane.iter().any(|l| l.contains("run: repro scale") && l.contains("seed 2024")),
         "ledger tail fills the run identity: {pane:?}"
     );
 
@@ -196,5 +208,31 @@ fn headless_console_observes_a_live_server_and_flags_drift() {
     assert!(text.contains("!! seed:"), "drift drill-down rendered:\n{text}");
 
     server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_lines_are_errors_not_stack_overflows() {
+    let dir = temp_dir("deep");
+    let deep = format!("{}\n", "[".repeat(200_000));
+    for (bad, why) in [("{bad\n", "expected"), (deep.as_str(), "nesting deeper than 128")] {
+        let ledger = dir.join("BENCH_ledger.jsonl");
+        std::fs::write(&ledger, bad).unwrap();
+        let path = ledger.to_str().unwrap();
+        let out = console(&["--ledger", path, "--headless", "--frames", "1", "--width", "300"]);
+        assert_eq!(out.status.code(), Some(0), "a bad row is a note, not a crash: {out:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("note: ledger:") && text.contains("bad ledger row"), "{text}");
+        assert!(text.contains(why), "{text}");
+    }
+
+    let metrics = dir.join("deep.json");
+    std::fs::write(&metrics, &deep).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_obs-diff"))
+        .args([&metrics, &metrics])
+        .output()
+        .expect("obs-diff runs");
+    assert_eq!(out.status.code(), Some(2), "unparseable input is a usage error: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nesting deeper than 128"), "{out:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

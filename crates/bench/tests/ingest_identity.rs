@@ -8,8 +8,9 @@
 //! interleave are pure functions of (seed, chunk plan) and never leak
 //! into the rendered output.
 
-use st_bench::ledger::{artifact_hash, IngestLedgerRow, INGEST_LEDGER_SCHEMA};
-use st_bench::{run, Feed, IngestOptions, ReplayStats, ReproReport, RunOptions};
+use st_bench::ledger::{artifact_hash, LedgerRow, LEDGER_SCHEMA};
+use st_bench::output::ChunkPlan;
+use st_bench::{run, Feed, IngestOptions, Run, RunOptions};
 use st_obs::Registry;
 
 /// The batch pipeline's pinned golden hash (see `golden_identity.rs`).
@@ -18,18 +19,18 @@ const GOLDEN_FILES: usize = 89;
 
 /// Replay the golden configuration through the ingest front-end and
 /// render everything.
-fn ingest_run(parallelism: usize, opts: IngestOptions) -> (ReproReport, ReplayStats) {
+fn ingest_run(parallelism: usize, opts: IngestOptions) -> Run {
     let run_opts = RunOptions::new(0.004, 2024, parallelism);
-    let run = run(&run_opts, Feed::Chunks(opts), &Registry::new()).expect("chunk replay");
-    (run.report, run.replay)
+    run(&run_opts, Feed::Chunks(opts), &Registry::new()).expect("chunk replay")
 }
 
 #[test]
 fn chunked_replay_reproduces_the_batch_golden_artifacts() {
     // Small chunks, default-ish seal: many append calls per store.
     let opts = IngestOptions { chunk_rows: 500, seal_rows: 2048 };
-    let (report, stats) = ingest_run(1, opts);
-    let (h, n) = artifact_hash(&report.artifacts);
+    let run = ingest_run(1, opts);
+    let stats = run.replay;
+    let (h, n) = artifact_hash(&run.report.artifacts);
     assert_eq!(n, GOLDEN_FILES, "artifact file count changed under chunked ingest");
     assert_eq!(h, GOLDEN_HASH, "chunked replay diverged from the batch golden run (hash {h:#x})");
     assert!(stats.chunks > 0 && stats.rows > 0, "ingest stage saw no work: {stats:?}");
@@ -37,14 +38,16 @@ fn chunked_replay_reproduces_the_batch_golden_artifacts() {
 
     // The ledger row summarizing this run must carry the golden hash in
     // its batch-comparable field.
-    let row = IngestLedgerRow::from_report(&report, 1, opts.chunk_rows, opts.seal_rows, &stats);
-    assert_eq!(row.schema, INGEST_LEDGER_SCHEMA);
+    let plan = ChunkPlan { ingest: opts, epoch_rows: None };
+    let row = LedgerRow::from_run("ingest", 1, Some(plan), &run);
+    assert_eq!((row.schema.as_str(), row.mode.as_str()), (LEDGER_SCHEMA, "ingest"));
     assert_eq!(row.artifact_hash, format!("{GOLDEN_HASH:016x}"));
     assert_eq!(row.artifact_files, GOLDEN_FILES);
+    assert_eq!((row.chunk_rows, row.seal_rows, row.epoch_rows), (Some(500), Some(2048), None));
     assert_eq!(row.chunks, stats.chunks);
     assert_eq!(row.rows, stats.rows);
     let json = serde_json::to_string(&row).expect("ledger row serializes");
-    assert!(json.contains("\"schema\":\"st-ingest/v1\""), "{json}");
+    assert!(json.contains("\"schema\":\"st-ledger/v2\",\"mode\":\"ingest\""), "{json}");
 }
 
 #[test]
@@ -53,7 +56,7 @@ fn a_different_chunk_plan_and_parallelism_hash_identically() {
     // split into several sealed segments, and a parallel coordinator —
     // the multi-segment render path must still hit the batch hash.
     let opts = IngestOptions { chunk_rows: 2048, seal_rows: 200 };
-    let (report, stats) = ingest_run(4, opts);
+    let Run { report, replay: stats, .. } = ingest_run(4, opts);
     let (h, n) = artifact_hash(&report.artifacts);
     assert_eq!(n, GOLDEN_FILES, "artifact file count changed under chunked ingest");
     assert_eq!(

@@ -7,19 +7,19 @@
 use serde_json::Value;
 use st_bench::diff::{diff_metrics, DiffOptions, MetricsDoc};
 use st_bench::ledger::{append_ledger, read_ledger, LedgerRow};
-use st_bench::{run, Feed, ReproReport, RunOptions};
+use st_bench::{run, Feed, Run, RunOptions};
 use st_obs::Registry;
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Run the observed pipeline; return the report and the bare metrics
+/// Run the observed pipeline; return the run and the bare metrics
 /// snapshot JSON (`st_obs::MetricsSnapshot::to_json`, which
 /// `MetricsDoc::parse` accepts just like the repro binary's file).
-fn observed_snapshot(parallelism: usize) -> (ReproReport, String) {
+fn observed_snapshot(parallelism: usize) -> (Run, String) {
     let opts = RunOptions::new(0.004, 2024, parallelism);
-    let report = run(&opts, Feed::Batch(None), &Registry::new()).unwrap().report;
-    let json = report.metrics.as_ref().expect("observed run carries metrics").to_json();
-    (report, json)
+    let run = run(&opts, Feed::Batch(None), &Registry::new()).unwrap();
+    let json = run.report.metrics.as_ref().expect("observed run carries metrics").to_json();
+    (run, json)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -30,7 +30,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn snapshots_diff_clean_across_parallelism_and_flag_perturbations() {
-    let (report1, json1) = observed_snapshot(1);
+    let (run1, json1) = observed_snapshot(1);
     let (_report4, json4) = observed_snapshot(4);
     let doc1 = MetricsDoc::parse(&json1).expect("p1 snapshot parses");
     let doc4 = MetricsDoc::parse(&json4).expect("p4 snapshot parses");
@@ -62,7 +62,7 @@ fn snapshots_diff_clean_across_parallelism_and_flag_perturbations() {
 
     // The quantiles the report prints come from the same deterministic
     // histograms, so they are parallelism-invariant too.
-    let md = st_bench::render_report(&report1);
+    let md = st_bench::render_report(&run1.report);
     assert!(md.contains("p50=") && md.contains("p90=") && md.contains("p99="), "{md}");
 }
 
@@ -126,10 +126,10 @@ fn ledger_rows_accumulate_and_artifact_hash_is_parallelism_invariant() {
     let path = dir.join("BENCH_ledger.jsonl");
     let _ = std::fs::remove_file(&path);
 
-    let (report1, _) = observed_snapshot(1);
-    let (report4, _) = observed_snapshot(4);
-    let row1 = LedgerRow::from_report(&report1, 1);
-    let row4 = LedgerRow::from_report(&report4, 4);
+    let (run1, _) = observed_snapshot(1);
+    let (run4, _) = observed_snapshot(4);
+    let row1 = LedgerRow::from_run("repro", 1, None, &run1);
+    let row4 = LedgerRow::from_run("repro", 4, None, &run4);
     assert_eq!(
         row1.artifact_hash, row4.artifact_hash,
         "artifact hash must not depend on parallelism"
@@ -142,7 +142,8 @@ fn ledger_rows_accumulate_and_artifact_hash_is_parallelism_invariant() {
     let rows = read_ledger(&path).expect("ledger parses");
     assert_eq!(rows.len(), 2);
     for (row, parallelism) in rows.iter().zip([1u64, 4]) {
-        assert_eq!(row.get("schema").and_then(Value::as_str), Some("st-ledger/v1"));
+        assert_eq!(row.get("schema").and_then(Value::as_str), Some("st-ledger/v2"));
+        assert_eq!(row.get("mode").and_then(Value::as_str), Some("repro"));
         assert_eq!(row.get("parallelism").and_then(Value::as_u64), Some(parallelism));
         assert_eq!(
             row.get("artifact_hash").and_then(Value::as_str),

@@ -11,8 +11,9 @@
 //! and the service's locks are pure observation machinery that never
 //! leaks into the rendered output.
 
-use st_bench::ledger::{artifact_hash, ServeLedgerRow, SERVE_LEDGER_SCHEMA};
-use st_bench::{make_warm_renderer, run, Feed, ReplayStats, ReproReport, RunOptions};
+use st_bench::ledger::{artifact_hash, LedgerRow, LEDGER_SCHEMA};
+use st_bench::output::ChunkPlan;
+use st_bench::{make_warm_renderer, run, Feed, IngestOptions, Run, RunOptions};
 use st_obs::Registry;
 use st_serve::{dispatch, ContextService, PartitionSpec, ServeOptions};
 use std::sync::Arc;
@@ -30,7 +31,7 @@ fn serve_run(
     seal_rows: usize,
     epoch_rows: usize,
     warm: bool,
-) -> (ReproReport, ReplayStats, u64, Arc<ContextService>) {
+) -> (Run, u64, Arc<ContextService>) {
     let obs = Registry::new();
     let mut specs: Vec<PartitionSpec> =
         st_datagen::City::all().iter().map(|c| PartitionSpec::city(c.label())).collect();
@@ -43,7 +44,7 @@ fn serve_run(
     let feed = Feed::Service { service: &service, chunk_rows };
     let run =
         run(&RunOptions::new(0.004, 2024, parallelism), feed, &obs).expect("serve replay succeeds");
-    let (report, stats) = (run.report, run.replay);
+    let report = &run.report;
     let (hash, files) = artifact_hash(&report.artifacts);
     let final_epoch = service
         .publish_final(
@@ -54,15 +55,16 @@ fn serve_run(
             files as u64,
         )
         .expect("final epoch publishes after drain");
-    (report, stats, final_epoch, service)
+    (run, final_epoch, service)
 }
 
 #[test]
 fn service_replay_reproduces_the_batch_golden_artifacts() {
     // Small chunks, mid seal, epochs frequent enough to publish several
     // warm snapshots; single coordinator thread.
-    let (report, stats, final_epoch, service) = serve_run(1, 500, 2048, 1500, false);
-    let (h, n) = artifact_hash(&report.artifacts);
+    let (mut run, final_epoch, service) = serve_run(1, 500, 2048, 1500, false);
+    let stats = run.replay;
+    let (h, n) = artifact_hash(&run.report.artifacts);
     assert_eq!(n, GOLDEN_FILES, "artifact file count changed under the serve path");
     assert_eq!(h, GOLDEN_HASH, "service replay diverged from the batch golden run (hash {h:#x})");
     assert!(stats.chunks > 0 && stats.rows > 0, "serve stage saw no work: {stats:?}");
@@ -84,16 +86,26 @@ fn service_replay_reproduces_the_batch_golden_artifacts() {
     assert!(resp.contains("\"drained\":true"), "{resp}");
 
     // The ledger row summarizing this run carries the golden hash in
-    // its batch-comparable field.
-    let row = ServeLedgerRow::from_report(&report, 1, 500, 2048, 1500, &stats, final_epoch);
-    assert_eq!(row.schema, SERVE_LEDGER_SCHEMA);
+    // its batch-comparable field, and counts the final epoch as the
+    // `serve` binary does: by setting it on the run before writing.
+    run.replay.epochs = final_epoch;
+    let plan = ChunkPlan {
+        ingest: IngestOptions { chunk_rows: 500, seal_rows: 2048 },
+        epoch_rows: Some(1500),
+    };
+    let row = LedgerRow::from_run("serve", 1, Some(plan), &run);
+    assert_eq!((row.schema.as_str(), row.mode.as_str()), (LEDGER_SCHEMA, "serve"));
     assert_eq!(row.artifact_hash, format!("{GOLDEN_HASH:016x}"));
     assert_eq!(row.artifact_files, GOLDEN_FILES);
     assert_eq!(row.epochs, final_epoch);
+    assert_eq!(
+        (row.chunk_rows, row.seal_rows, row.epoch_rows),
+        (Some(500), Some(2048), Some(1500))
+    );
     assert_eq!(row.chunks, stats.chunks);
     assert_eq!(row.rows, stats.rows);
     let json = serde_json::to_string(&row).expect("ledger row serializes");
-    assert!(json.contains("\"schema\":\"st-serve/v1\""), "{json}");
+    assert!(json.contains("\"schema\":\"st-ledger/v2\",\"mode\":\"serve\""), "{json}");
 }
 
 #[test]
@@ -103,7 +115,8 @@ fn a_different_chunk_plan_parallel_coordinator_and_warm_fits_hash_identically() 
     // shared service concurrently, and the real warm renderer fitting
     // prefix models at every epoch crossing — none of it may perturb
     // the final artifacts.
-    let (report, stats, final_epoch, service) = serve_run(4, 2048, 200, 2000, true);
+    let (Run { report, replay: stats, .. }, final_epoch, service) =
+        serve_run(4, 2048, 200, 2000, true);
     let (h, n) = artifact_hash(&report.artifacts);
     assert_eq!(n, GOLDEN_FILES, "artifact file count changed under the serve path");
     assert_eq!(

@@ -122,7 +122,7 @@ impl Renderer {
             match &s.run {
                 Some(r) => format!(
                     "run: {} scale {} seed {} artifacts {} hash {}",
-                    r.schema, r.scale, r.seed, r.artifact_files, r.artifact_hash
+                    r.mode, r.scale, r.seed, r.artifact_files, r.artifact_hash
                 ),
                 None => format!("run: (no ledger row yet) ledger rows {}", s.ledger_rows),
             },

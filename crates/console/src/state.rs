@@ -17,8 +17,8 @@
 /// contract says nothing downstream may depend on it).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunIdentity {
-    /// Ledger row schema tag ("st-ledger/v1", "st-serve/v1", ...).
-    pub schema: String,
+    /// The binary that wrote the ledger row ("repro", "serve", ...).
+    pub mode: String,
     /// The run's `--scale`.
     pub scale: f64,
     /// The run's `--seed`.

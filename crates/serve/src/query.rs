@@ -646,6 +646,20 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_gets_an_error_row_and_the_server_keeps_answering() {
+        let s = service();
+        let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
+        let t = Duration::from_secs(5);
+        let resp = query_once(server.addr(), &"[".repeat(200_000), t).expect("error row");
+        let v: serde_json::Value = serde_json::from_str(&resp).unwrap();
+        assert_eq!(get(&v, "ok").as_bool(), Some(false), "{resp}");
+        assert!(get(&v, "detail").as_str().unwrap().contains("nesting deeper than"), "{resp}");
+        let resp = query_once(server.addr(), "{\"cmd\":\"status\"}", t).expect("status after");
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        server.stop();
+    }
+
+    #[test]
     fn tcp_round_trip_and_shutdown_signal() {
         let s = service();
         let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
