@@ -283,6 +283,23 @@ mode_serve() {
   # An unknown command is a typed error, not a dropped line.
   expect_exit 1 query '{"cmd":"nope"}' > "$O/err.json"
   grep -q '"ok":false' "$O/err.json"
+  # A 10 MiB line with no newline runs past the request-line cap: the
+  # connection ends (an error row then EOF, or a reset) within 10 s
+  # instead of growing the service, which still answers afterwards.
+  python3 - "$ADDR" <<'EOF'
+import socket, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+start = time.monotonic()
+s = socket.create_connection((host, int(port)), timeout=10)
+try:
+    s.sendall(b"a" * (10 << 20))
+    while s.recv(65536):
+        pass
+except (ConnectionResetError, BrokenPipeError):
+    pass
+assert time.monotonic() - start < 10, "the oversized line held the connection open"
+EOF
+  answers status '"ok":true'
   # A shutdown command ends the linger and the service exits 0.
   query shutdown
   wait "$SERVE_PID"

@@ -7,21 +7,21 @@
 //!        [--baseline METRICS.json] [--wall-ratio R] [--wall-floor S]
 //! ```
 //!
-//! The batch `repro` binary wraps each sanitized campaign in one sealed
-//! segment; this binary instead splits each campaign into `C`-row chunks
-//! and appends them to `st_speedtest::SegmentedStore`s in a
-//! seed-scheduled interleave, sanitizing incrementally per chunk and
-//! sealing immutable segments every `R` accepted rows. The frozen stores
-//! then flow through the same fit, derive, and render stages.
+//! `repro` appends each campaign as one chunk that seals into one
+//! segment; this binary runs the same chunk feed at a finer plan: it
+//! splits each campaign into `C`-row chunks and appends them to
+//! `st_speedtest::SegmentedStore`s in a seed-scheduled interleave,
+//! sanitizing incrementally per chunk and sealing immutable segments
+//! every `R` accepted rows. The frozen stores then flow through the same
+//! fit, derive, and render stages.
 //!
 //! The point of the exercise is the identity it proves: the artifact set
-//! written here is byte-identical to a batch `repro` run at the same
-//! scale and seed — for any chunk size, any seal threshold, and any
-//! parallelism. The appended `BENCH_ledger.jsonl` row (mode `ingest`)
-//! carries the artifact hash plus chunk/segment counts and ingest
-//! throughput, so the identity is checkable straight from the ledger: an
-//! ingest row and a batch row with equal `artifact_hash` produced the
-//! same bytes.
+//! written here is byte-identical to a `repro` run at the same scale and
+//! seed — for any chunk size, any seal threshold, and any parallelism.
+//! The appended `BENCH_ledger.jsonl` row (mode `ingest`) carries the
+//! artifact hash plus chunk/segment counts and ingest throughput, so the
+//! identity is checkable straight from the ledger: an ingest row and a
+//! `repro` row with equal `artifact_hash` produced the same bytes.
 //!
 //! Outputs, `--baseline` and exit codes are `repro`'s (the shared
 //! `st_bench::output` writer and `st_bench::cli` parser), except that a

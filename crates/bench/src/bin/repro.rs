@@ -8,12 +8,13 @@
 //! ```
 //!
 //! Generates the four city datasets at `S` of the paper's campaign sizes
-//! (default 0.05), feeds each campaign whole through the sanitizer
-//! (`st_bench::Feed::Batch`), fits BST, runs every experiment, and
-//! writes the artifacts, `report.md` and the `BENCH_*` records described
-//! in `st_bench::output` into `DIR`. `--parallelism` fans every stage
-//! out over worker threads (default: all cores); output is
-//! byte-identical at every parallelism level.
+//! (default 0.05), ingests each campaign as one chunk that seals into one
+//! segment (`st_bench::Feed::Chunks` at `IngestOptions::WHOLE`, the
+//! chunk replay of `ingest` at its coarsest plan), fits BST, runs every
+//! experiment, and writes the artifacts, `report.md` and the `BENCH_*`
+//! records described in `st_bench::output` into `DIR`. `--parallelism`
+//! fans every stage out over worker threads (default: all cores); output
+//! is byte-identical at every parallelism level.
 //!
 //! `--baseline METRICS.json` diffs this run's metrics against a
 //! previously written `BENCH_metrics.json` (see `obs-diff` and
@@ -36,7 +37,7 @@
 
 use st_bench::cli::{self, CliError};
 use st_bench::output::write_run;
-use st_bench::{run, Feed, RunOptions};
+use st_bench::{run, Feed, IngestOptions, RunOptions};
 use st_datagen::DirtyScenario;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -78,10 +79,11 @@ fn main() -> ExitCode {
     let opts = RunOptions {
         deadline: Duration::from_secs(deadline_secs as u64),
         fail_jobs,
+        dirty: (dirty_rate > 0.0).then(|| DirtyScenario::with_total_rate(dirty_rate)),
         ..args.run_options()
     };
-    let dirty = (dirty_rate > 0.0).then(|| DirtyScenario::with_total_rate(dirty_rate));
     let obs = st_obs::Registry::new();
-    let run = run(&opts, Feed::Batch(dirty), &obs).expect("the batch feed cannot fail");
+    let run =
+        run(&opts, Feed::Chunks(IngestOptions::WHOLE), &obs).expect("the chunk feed cannot fail");
     write_run(&args, "repro", None, &run, &obs).exit_code(allow_degraded)
 }

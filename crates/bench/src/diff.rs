@@ -227,12 +227,6 @@ impl MetricsDoc {
         }
         parts.join(", ")
     }
-
-    /// Number of keys in the strict-comparison surface (schema tag plus
-    /// every deterministic map entry).
-    pub fn deterministic_keys(&self) -> usize {
-        1 + self.counters.len() + self.gauges.len() + self.histograms.len() + self.series.len()
-    }
 }
 
 /// Tolerances for the wall-clock comparison. The deterministic class

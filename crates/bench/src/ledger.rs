@@ -5,8 +5,8 @@
 //! accumulates a queryable history. There is one row type under one
 //! schema tag ([`LEDGER_SCHEMA`]); its `mode` field names the binary
 //! that wrote it. A row carries the run knobs (scale, seed,
-//! parallelism, the chunk plan of a replay run), what the replay feed
-//! did, an FNV-1a hash of the artifact set, headline counters, the
+//! parallelism, the chunk plan of an `ingest` or `serve` run), what the
+//! ingest stage did, an FNV-1a hash of the artifact set, headline counters, the
 //! per-stage wall-clock durations and the process's peak RSS. The file
 //! is JSON Lines — append-only, one self-contained object per line — so
 //! concurrent tooling can `tail` it and a truncated final line (crash
@@ -91,9 +91,11 @@ pub struct LedgerRow {
     pub seed: u64,
     /// The run's `--parallelism`.
     pub parallelism: usize,
-    /// Rows per replayed chunk (`--chunk-rows`); replay runs only.
+    /// Rows per replayed chunk (`--chunk-rows`); `ingest` and `serve`
+    /// only (`repro` ingests one chunk per campaign).
     pub chunk_rows: Option<usize>,
-    /// Sealed-segment size threshold (`--seal-rows`); replay runs only.
+    /// Sealed-segment size threshold (`--seal-rows`); `ingest` and
+    /// `serve` only (`repro` seals one segment per store).
     pub seal_rows: Option<usize>,
     /// Accepted rows per published epoch (`--epoch-rows`); `serve` only.
     pub epoch_rows: Option<usize>,

@@ -4,22 +4,22 @@
 //! same five stages:
 //!
 //! ```text
-//! generate → feed → fit → derive → render
+//! generate → ingest → fit → derive → render
 //! ```
 //!
 //! * **generate** — the four cities' campaigns at the run's scale and
-//!   seed, optionally corrupted by a dirty-record scenario
-//!   ([`st_datagen::faults`]);
-//! * **feed** — how the generated records reach the segmented campaign
+//!   seed, optionally corrupted by the dirty-record scenario of
+//!   [`RunOptions::dirty`] ([`st_datagen::faults`]);
+//! * **ingest** — how the generated records reach the segmented campaign
 //!   stores. This is the only stage that differs between the binaries,
 //!   selected by a [`Feed`]:
-//!   - [`Feed::Batch`] (`repro`) sanitizes each campaign whole and wraps
-//!     it as one sealed segment;
-//!   - [`Feed::Chunks`] (`ingest`) splits each campaign into
+//!   - [`Feed::Chunks`] splits each campaign into
 //!     [`IngestOptions::chunk_rows`]-row chunks and appends them to
 //!     thread-local [`SegmentedStore`]s in a seed-scheduled interleave
 //!     ([`ReplaySchedule`]), sanitizing per chunk and sealing segments as
-//!     the tails fill;
+//!     the tails fill. `ingest` runs it at the plan its flags give;
+//!     `repro` and the benches run it at [`IngestOptions::WHOLE`], one
+//!     chunk and one sealed segment per campaign;
 //!   - [`Feed::Service`] (`serve`) replays the same chunks, in the same
 //!     order, through a running [`ContextService`] and drains it;
 //! * **fit** — [`CityAnalysis::from_stores`] per city;
@@ -27,12 +27,12 @@
 //! * **render** — the supervised render jobs (see below).
 //!
 //! [`run`] drives the whole chain. The benches call its two halves,
-//! [`build_analyses_par`] (generate → derive on the batch feed) and
-//! [`run_all_par`] (render).
+//! [`build_analyses_par`] (generate → derive on the whole-campaign chunk
+//! feed) and [`run_all_par`] (render).
 //!
 //! **One output.** Segment boundaries and the chunk interleave are pure
 //! functions of the accepted-row sequence, the seed and the chunk plan,
-//! and the fit consumes gathered, contiguous values, so all three feeds
+//! and the fit consumes gathered, contiguous values, so both feeds
 //! render byte-identical artifacts at every chunk plan and every
 //! parallelism: the golden-, ingest- and serve-identity suites pin them
 //! to one hash. Parallel units (cities, stores, render jobs) run on
@@ -50,8 +50,8 @@
 //! an [`st_obs::Registry`]. Each parallel unit records into its own
 //! sub-registry, merged in city/job order, so the deterministic metric
 //! class is byte-identical at every parallelism level. Stage wall-clocks
-//! come from the `generate`/`fit`/`derive`/`render` span tree (plus
-//! `ingest` for the replay feeds) and fill [`StageTimings`]. Observation
+//! come from the `generate`/`ingest`/`fit`/`derive`/`render` span tree
+//! and fill [`StageTimings`] and [`ReplayStats::ingest_s`]. Observation
 //! is read-only: artifacts are byte-identical with the registry enabled
 //! or [`Registry::disabled`].
 //!
@@ -72,7 +72,7 @@ use st_analysis::{
 use st_datagen::{City, CityConfig, CityDataset, DirtyScenario};
 use st_obs::{MetricsSnapshot, Registry};
 use st_serve::{ContextService, ServeError, WarmInput, WarmOutput, WarmRenderer};
-use st_speedtest::{sanitize, Measurement, SanitizeReport, SegmentedStore};
+use st_speedtest::{Measurement, SanitizeReport, SegmentedStore};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,7 +95,8 @@ pub struct Artifact {
 /// Wall-clock seconds spent in each repro stage.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct StageTimings {
-    /// Dataset generation (four cities), plus the batch feed.
+    /// Dataset generation (four cities); the ingest stage that follows
+    /// is [`ReplayStats::ingest_s`].
     pub generate_s: f64,
     /// BST model fitting (four cities).
     pub fit_s: f64,
@@ -182,11 +183,14 @@ pub struct RunOptions {
     /// Fault injection: labels of jobs that stall well past any sane
     /// deadline before returning empty output.
     pub hang_jobs: Vec<String>,
+    /// Fault injection: the dirty-record scenario each city's campaigns
+    /// are corrupted with right after generation, if any.
+    pub dirty: Option<DirtyScenario>,
 }
 
 impl RunOptions {
     /// A run at `(scale, seed, parallelism)` with a 300 s render deadline
-    /// and no injected faults.
+    /// and no injected faults or dirty records.
     pub fn new(scale: f64, seed: u64, parallelism: usize) -> Self {
         RunOptions {
             scale,
@@ -196,6 +200,7 @@ impl RunOptions {
             fail_jobs: Vec::new(),
             flaky_jobs: Vec::new(),
             hang_jobs: Vec::new(),
+            dirty: None,
         }
     }
 }
@@ -203,10 +208,6 @@ impl RunOptions {
 /// How generated records reach the campaign stores — the one stage of
 /// the chain that differs between the binaries.
 pub enum Feed<'a> {
-    /// Sanitize each campaign whole — after corrupting it with the dirty
-    /// scenario, if any — and wrap what survives as one sealed segment.
-    /// Runs inside each city's `generate/<city>` span.
-    Batch(Option<DirtyScenario>),
     /// Replay seed-scheduled chunks into thread-local stores under an
     /// `ingest` stage.
     Chunks(IngestOptions),
@@ -232,14 +233,21 @@ pub struct IngestOptions {
     pub seal_rows: usize,
 }
 
+impl IngestOptions {
+    /// One chunk per campaign and one sealed segment per store — the
+    /// plan of `repro` and [`build_analyses_par`]. Every column view of
+    /// such a store is a single zero-copy fragment.
+    pub const WHOLE: IngestOptions =
+        IngestOptions { chunk_rows: usize::MAX, seal_rows: usize::MAX };
+}
+
 impl Default for IngestOptions {
     fn default() -> Self {
         IngestOptions { chunk_rows: 2048, seal_rows: st_speedtest::DEFAULT_SEAL_ROWS }
     }
 }
 
-/// What a replay feed did, summed over all campaign streams. All zero on
-/// the batch feed.
+/// What the ingest stage did, summed over all campaign streams.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayStats {
     /// Chunks appended across the twelve campaign streams.
@@ -279,7 +287,7 @@ pub struct Run {
     pub replay: ReplayStats,
 }
 
-/// Run the whole chain: generate → feed → fit → derive → render. Only
+/// Run the whole chain: generate → ingest → fit → derive → render. Only
 /// [`Feed::Service`] can fail, when the service rejects a chunk or its
 /// drain fails.
 pub fn run(opts: &RunOptions, feed: Feed<'_>, obs: &Registry) -> Result<Run, ServeError> {
@@ -288,16 +296,18 @@ pub fn run(opts: &RunOptions, feed: Feed<'_>, obs: &Registry) -> Result<Run, Ser
     Ok(Run { analyses, report, replay })
 }
 
-/// Generate → derive on the batch feed, unobserved; `render_s` stays 0
-/// until [`run_all_par`]. Output is identical at every parallelism.
+/// Generate → derive on the whole-campaign chunk feed
+/// ([`IngestOptions::WHOLE`]), unobserved; `render_s` stays 0 until
+/// [`run_all_par`]. Output is identical at every parallelism.
 pub fn build_analyses_par(
     scale: f64,
     seed: u64,
     parallelism: usize,
 ) -> (Arc<Vec<CityAnalysis>>, StageTimings) {
+    let opts = RunOptions::new(scale, seed, parallelism);
     let (analyses, timings, _, _) =
-        build(&RunOptions::new(scale, seed, parallelism), Feed::Batch(None), &Registry::disabled())
-            .expect("the batch feed cannot fail");
+        build(&opts, Feed::Chunks(IngestOptions::WHOLE), &Registry::disabled())
+            .expect("the chunk feed cannot fail");
     (analyses, timings)
 }
 
@@ -372,6 +382,10 @@ fn stage<T>(obs: &Registry, name: &str, f: impl FnOnce() -> T) -> (T, f64) {
 /// The three campaign streams of a city, in store order.
 const CAMPAIGNS: [&str; 3] = ["ookla", "mlab", "mba"];
 
+/// A city's config and its `ookla`/`mlab`/`mba` records — what the
+/// generate stage hands to the feeds.
+type CityRecords = (CityConfig, [Vec<Measurement>; 3]);
+
 /// A city's config and its frozen `ookla`/`mlab`/`mba` stores — what
 /// every feed hands to the fit stage.
 type CityStores = (CityConfig, [SegmentedStore; 3]);
@@ -381,34 +395,15 @@ type CityStores = (CityConfig, [SegmentedStore; 3]);
 /// statistics.
 type Built = (Arc<Vec<CityAnalysis>>, StageTimings, SanitizeReport, ReplayStats);
 
-/// Generate → feed → fit → derive.
+/// Generate → ingest → fit → derive.
 fn build(opts: &RunOptions, feed: Feed<'_>, obs: &Registry) -> Result<Built, ServeError> {
     let parallelism = opts.parallelism.max(1);
     let city_workers = parallelism.min(City::all().len());
-    let (prepared, generate_s, sanitize, replay) = match feed {
-        Feed::Batch(dirty) => {
-            let (fed, generate_s) = generate_stage(opts, dirty, obs, batch_feed);
-            let mut sanitize = SanitizeReport::default();
-            let prepared = fed
-                .into_iter()
-                .map(|(stores, report)| {
-                    sanitize.merge(&report);
-                    stores
-                })
-                .collect();
-            (prepared, generate_s, sanitize, ReplayStats::default())
-        }
-        Feed::Chunks(plan) => {
-            let (datasets, generate_s) = generate_stage(opts, None, obs, |ds, _| ds);
-            let (prepared, sanitize, replay) =
-                chunk_feed(datasets, opts.seed, plan, city_workers, obs);
-            (prepared, generate_s, sanitize, replay)
-        }
+    let (cities, generate_s) = generate_stage(opts, obs);
+    let (prepared, sanitize, replay) = match feed {
+        Feed::Chunks(plan) => chunk_feed(cities, opts.seed, plan, city_workers, obs),
         Feed::Service { service, chunk_rows } => {
-            let (datasets, generate_s) = generate_stage(opts, None, obs, |ds, _| ds);
-            let (prepared, sanitize, replay) =
-                service_feed(datasets, opts.seed, chunk_rows, service, city_workers, obs)?;
-            (prepared, generate_s, sanitize, replay)
+            service_feed(cities, opts.seed, chunk_rows, service, city_workers, obs)?
         }
     };
     let (analyses, fit_s) = fit_stage(prepared, opts.seed, city_workers, obs);
@@ -431,15 +426,9 @@ fn merged<T>(obs: &Registry, units: Vec<(T, Registry)>) -> Vec<T> {
 }
 
 /// The generate stage: each city's campaigns are generated (and
-/// corrupted by `dirty`, if any) and observed on the city's own
-/// sub-registry inside a `generate/<city>` span, then handed to `then`
-/// within the same span — the batch feed runs there.
-fn generate_stage<T: Send>(
-    opts: &RunOptions,
-    dirty: Option<DirtyScenario>,
-    obs: &Registry,
-    then: impl Fn(CityDataset, &Registry) -> T + Sync,
-) -> (Vec<T>, f64) {
+/// corrupted by [`RunOptions::dirty`], if any) and observed on the
+/// city's own sub-registry inside a `generate/<city>` span.
+fn generate_stage(opts: &RunOptions, obs: &Registry) -> (Vec<CityRecords>, f64) {
     let parallelism = opts.parallelism.max(1);
     let cities = City::all();
     let city_workers = parallelism.min(cities.len());
@@ -450,48 +439,33 @@ fn generate_stage<T: Send>(
             let sub = obs.sub();
             let city_span = sub.span(&format!("generate/{}", city.label()));
             let mut ds = CityDataset::generate_with_parallelism(city, opts.scale, opts.seed, inner);
-            let dirty_labels = dirty.as_ref().map(|scenario| ds.inject_dirty(scenario, opts.seed));
+            let dirty_labels =
+                opts.dirty.as_ref().map(|scenario| ds.inject_dirty(scenario, opts.seed));
             ds.observe(&sub);
             if let Some(labels) = &dirty_labels {
                 ds.observe_dirty(&sub, labels);
             }
-            let out = then(ds, &sub);
+            // The feeds need only the records; the population goes here.
+            let CityDataset { config, ookla, mlab, mba, .. } = ds;
             city_span.stop();
-            (out, sub)
+            ((config, [ookla, mlab, mba]), sub)
         })
     });
     (merged(obs, generated), generate_s)
 }
 
-/// The batch feed ([`Feed::Batch`]): sanitize every campaign whole,
-/// recording its `sanitize.*` counters, and wrap what survives as one
-/// sealed segment.
-fn batch_feed(ds: CityDataset, sub: &Registry) -> (CityStores, SanitizeReport) {
-    let city = ds.config.city.label();
-    let CityDataset { config, ookla, mlab, mba, .. } = ds;
-    let mut report = SanitizeReport::default();
-    let stores = [("ookla", ookla), ("mlab", mlab), ("mba", mba)].map(|(campaign, records)| {
-        let (kept, r) = sanitize(records);
-        r.record(sub, &[("campaign", campaign), ("city", city)]);
-        report.merge(&r);
-        SegmentedStore::from_measurements(&kept)
-    });
-    ((config, stores), report)
-}
-
-/// The replay loop both chunk feeds share: split the city's campaigns
+/// The replay loop both feeds share: split the city's campaigns
 /// into `chunk_rows`-row chunks and offer them to `sink`, with the
 /// campaign's index into [`CAMPAIGNS`], in the city's [`ReplaySchedule`]
 /// order. `sink` returns the rows it was offered.
 fn replay_city<E>(
-    ds: CityDataset,
+    (config, campaigns): CityRecords,
     seed: u64,
     city_index: usize,
     chunk_rows: usize,
     mut sink: impl FnMut(usize, Vec<Measurement>) -> Result<usize, E>,
 ) -> Result<(CityConfig, ReplayStats), E> {
-    let CityDataset { config, ookla, mlab, mba, .. } = ds;
-    let mut queues = [ookla, mlab, mba].map(|records| split_chunks(records, chunk_rows));
+    let mut queues = campaigns.map(|records| split_chunks(records, chunk_rows));
     let mut sched = ReplaySchedule::new(seed, city_index);
     let mut stats = ReplayStats::default();
     loop {
@@ -515,39 +489,41 @@ const INGEST_CHUNK_BOUNDS: &[f64] =
 /// sub-registry (`ingest/<city>` span, per-chunk `ingest.*` metrics),
 /// then freezes them and records their `sanitize.*` counters.
 fn chunk_feed(
-    datasets: Vec<CityDataset>,
+    cities: Vec<CityRecords>,
     seed: u64,
     plan: IngestOptions,
     city_workers: usize,
     obs: &Registry,
 ) -> (Vec<CityStores>, SanitizeReport, ReplayStats) {
     let (ingested, ingest_s) = stage(obs, "ingest", || {
-        par_map(datasets, city_workers, |ci, ds| {
+        par_map(cities, city_workers, |ci, records| {
             let sub = obs.sub();
-            let city = ds.config.city.label();
+            let city = records.0.city.label();
             let city_span = sub.span(&format!("ingest/{city}"));
             let mut stores = CAMPAIGNS.map(|_| SegmentedStore::builder(plan.seal_rows));
-            let Ok((config, mut stats)) = replay_city(ds, seed, ci, plan.chunk_rows, |k, chunk| {
-                let t0 = Instant::now();
-                let cs =
-                    stores[k].append_chunk(chunk).expect("tail stores accept chunks until frozen");
-                let elapsed = t0.elapsed().as_secs_f64();
-                sub.observe_wall(
-                    "ingest.chunk_seconds",
-                    &[("city", city)],
-                    elapsed,
-                    INGEST_CHUNK_BOUNDS,
-                );
-                sub.inc("ingest.chunks", &[("campaign", CAMPAIGNS[k]), ("city", city)]);
-                for (outcome, n) in [
-                    ("clean", cs.clean),
-                    ("repaired", cs.repaired),
-                    ("quarantined", cs.quarantined),
-                ] {
-                    sub.add("ingest.rows", &[("outcome", outcome)], n);
-                }
-                Ok::<_, std::convert::Infallible>(cs.rows_in)
-            });
+            let Ok((config, mut stats)) =
+                replay_city(records, seed, ci, plan.chunk_rows, |k, chunk| {
+                    let t0 = Instant::now();
+                    let cs = stores[k]
+                        .append_chunk(chunk)
+                        .expect("tail stores accept chunks until frozen");
+                    let elapsed = t0.elapsed().as_secs_f64();
+                    sub.observe_wall(
+                        "ingest.chunk_seconds",
+                        &[("city", city)],
+                        elapsed,
+                        INGEST_CHUNK_BOUNDS,
+                    );
+                    sub.inc("ingest.chunks", &[("campaign", CAMPAIGNS[k]), ("city", city)]);
+                    for (outcome, n) in [
+                        ("clean", cs.clean),
+                        ("repaired", cs.repaired),
+                        ("quarantined", cs.quarantined),
+                    ] {
+                        sub.add("ingest.rows", &[("outcome", outcome)], n);
+                    }
+                    Ok::<_, std::convert::Infallible>(cs.rows_in)
+                });
             let mut report = SanitizeReport::default();
             for (campaign, store) in CAMPAIGNS.into_iter().zip(&mut stores) {
                 store.freeze().expect("ingest freezes each store exactly once");
@@ -582,7 +558,7 @@ fn chunk_feed(
 /// wire-partition rows stay out of the deterministic metric class
 /// (DESIGN.md §18).
 fn service_feed(
-    datasets: Vec<CityDataset>,
+    cities: Vec<CityRecords>,
     seed: u64,
     chunk_rows: usize,
     service: &ContextService,
@@ -590,9 +566,9 @@ fn service_feed(
     obs: &Registry,
 ) -> Result<(Vec<CityStores>, SanitizeReport, ReplayStats), ServeError> {
     let (streamed, ingest_s) = stage(obs, "ingest", || -> Result<_, ServeError> {
-        let streamed = par_map(datasets, city_workers, |ci, ds| {
-            let city = ds.config.city.label();
-            replay_city(ds, seed, ci, chunk_rows, |k, chunk| {
+        let streamed = par_map(cities, city_workers, |ci, records| {
+            let city = records.0.city.label();
+            replay_city(records, seed, ci, chunk_rows, |k, chunk| {
                 service.ingest_chunk(city, CAMPAIGNS[k], chunk).map(|r| r.stats.rows_in)
             })
         });
@@ -640,8 +616,8 @@ fn service_feed(
 
 /// The fit stage: one [`CityAnalysis::from_stores`] per city, each on its
 /// own sub-registry, with the fit seed `seed ^ 0x5eed`. Every feed ends
-/// here, which is what lets the identity suites claim the ingest and
-/// service fits *are* the batch fit.
+/// here, which is what lets the identity suites claim the fit of every
+/// chunk plan and of the service *is* the whole-campaign fit.
 fn fit_stage(
     prepared: Vec<CityStores>,
     seed: u64,
@@ -700,15 +676,11 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// stream order — the chunk plan of both replay feeds.
 pub fn split_chunks(records: Vec<Measurement>, chunk_rows: usize) -> VecDeque<Vec<Measurement>> {
     assert!(chunk_rows > 0, "chunk_rows must be >= 1");
-    let mut chunks = VecDeque::new();
-    let mut it = records.into_iter();
-    loop {
-        let chunk: Vec<Measurement> = it.by_ref().take(chunk_rows).collect();
-        if chunk.is_empty() {
-            return chunks;
-        }
-        chunks.push_back(chunk);
+    if !records.is_empty() && records.len() <= chunk_rows {
+        // One chunk (the whole-campaign plan): hand the records over as is.
+        return VecDeque::from([records]);
     }
+    records.chunks(chunk_rows).map(<[Measurement]>::to_vec).collect()
 }
 
 /// The seed-scheduled chunk interleave of one city's campaign streams —
@@ -1380,7 +1352,8 @@ mod tests {
     #[test]
     fn observed_run_records_metrics_and_plain_run_does_not() {
         let obs = Registry::new();
-        let run = run(&RunOptions::new(0.004, 2024, 2), Feed::Batch(None), &obs).unwrap();
+        let run = run(&RunOptions::new(0.004, 2024, 2), Feed::Chunks(IngestOptions::WHOLE), &obs)
+            .unwrap();
         let report = &run.report;
         let metrics = report.metrics.as_ref().expect("enabled registry yields a snapshot");
         let det = &metrics.deterministic;
@@ -1427,7 +1400,8 @@ mod tests {
     #[test]
     fn sanitizer_counts_pristine_records_as_clean() {
         let opts = RunOptions::new(0.004, 2024, 2);
-        let (_, _, report, _) = build(&opts, Feed::Batch(None), &Registry::disabled()).unwrap();
+        let (_, _, report, _) =
+            build(&opts, Feed::Chunks(IngestOptions::WHOLE), &Registry::disabled()).unwrap();
         assert!(report.clean > 1000, "clean records: {}", report.clean);
         assert_eq!(report.quarantined, 0, "pristine generator quarantined: {report:?}");
         assert_eq!(report.repaired, 0);
@@ -1435,9 +1409,9 @@ mod tests {
 
     #[test]
     fn dirty_records_quarantine_and_analysis_survives() {
-        let dirty = DirtyScenario::with_total_rate(0.02);
-        let opts = RunOptions::new(0.004, 2024, 2);
-        let run = run(&opts, Feed::Batch(Some(dirty)), &Registry::disabled()).unwrap();
+        let dirty = Some(DirtyScenario::with_total_rate(0.02));
+        let opts = RunOptions { dirty, ..RunOptions::new(0.004, 2024, 2) };
+        let run = run(&opts, Feed::Chunks(IngestOptions::WHOLE), &Registry::disabled()).unwrap();
         let report = &run.report.health.sanitize;
         assert!(report.quarantined > 0, "2% dirty must quarantine something");
         // Duplicates and clock-skew repairs both occur at this rate.
@@ -1506,11 +1480,13 @@ mod tests {
 
     #[test]
     fn degraded_run_is_identical_across_parallelism() {
-        let dirty = DirtyScenario::with_total_rate(0.02);
         let mk = |par: usize| {
-            let opts =
-                RunOptions { fail_jobs: vec!["fig10".into()], ..RunOptions::new(0.004, 99, par) };
-            run(&opts, Feed::Batch(Some(dirty)), &Registry::disabled()).unwrap().report
+            let opts = RunOptions {
+                fail_jobs: vec!["fig10".into()],
+                dirty: Some(DirtyScenario::with_total_rate(0.02)),
+                ..RunOptions::new(0.004, 99, par)
+            };
+            run(&opts, Feed::Chunks(IngestOptions::WHOLE), &Registry::disabled()).unwrap().report
         };
         let seq = mk(1);
         let par = mk(4);

@@ -196,15 +196,15 @@ pub fn write_run(
         outcome.baseline_failed = !baseline_matches(baseline, &metrics_json, args);
     }
 
-    let t = &report.timings;
-    let mut stages = format!("generate {:.1}s", t.generate_s);
-    if plan.is_some() {
-        let r = &run.replay;
-        stages.push_str(&format!(" | ingest {:.1}s ({:.0} rows/s)", r.ingest_s, r.rows_per_s()));
-    }
+    let (t, r) = (&report.timings, &run.replay);
     eprintln!(
-        "{stages} | fit {:.1}s | derive {:.1}s | render {:.1}s",
-        t.fit_s, t.derive_s, t.render_s
+        "generate {:.1}s | ingest {:.1}s ({:.0} rows/s) | fit {:.1}s | derive {:.1}s | render {:.1}s",
+        t.generate_s,
+        r.ingest_s,
+        r.rows_per_s(),
+        t.fit_s,
+        t.derive_s,
+        t.render_s
     );
     eprintln!("wrote {} files to {}", outcome.written, out.display());
     if outcome.write_failures > 0 {
@@ -260,7 +260,7 @@ fn baseline_matches(baseline: &Path, metrics_json: &str, args: &CommonArgs) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run, Feed};
+    use crate::{run, Feed, IngestOptions};
 
     #[test]
     fn an_unwritable_output_is_counted_and_fails_the_run() {
@@ -277,7 +277,7 @@ mod tests {
         )
         .unwrap();
         let obs = Registry::new();
-        let run = run(&args.run_options(), Feed::Batch(None), &obs).unwrap();
+        let run = run(&args.run_options(), Feed::Chunks(IngestOptions::WHOLE), &obs).unwrap();
 
         let outcome = write_run(&args, "repro", None, &run, &obs);
 

@@ -4,7 +4,7 @@
 //! degradation in `## Health` with per-reason quarantine counts, and stay
 //! byte-identical between `--parallelism` 1 and 4.
 
-use st_bench::{render_health, render_report, run, Feed, RunOptions};
+use st_bench::{render_health, render_report, run, Feed, IngestOptions, RunOptions};
 use st_datagen::DirtyScenario;
 use st_obs::Registry;
 
@@ -12,10 +12,13 @@ const SCALE: f64 = 0.004;
 const SEED: u64 = 20220707;
 
 fn degraded_run(parallelism: usize) -> (st_bench::ReproReport, String) {
-    let dirty = DirtyScenario::with_total_rate(0.02);
-    let opts =
-        RunOptions { fail_jobs: vec!["fig08".into()], ..RunOptions::new(SCALE, SEED, parallelism) };
-    let report = run(&opts, Feed::Batch(Some(dirty)), &Registry::disabled()).unwrap().report;
+    let opts = RunOptions {
+        fail_jobs: vec!["fig08".into()],
+        dirty: Some(DirtyScenario::with_total_rate(0.02)),
+        ..RunOptions::new(SCALE, SEED, parallelism)
+    };
+    let report =
+        run(&opts, Feed::Chunks(IngestOptions::WHOLE), &Registry::disabled()).unwrap().report;
     let md = render_report(&report);
     (report, md)
 }

@@ -7,7 +7,10 @@
 //! captured from a release run at scale 0.004, seed 2024 — the same
 //! configuration the CI determinism smoke uses.
 
-use st_bench::{build_analyses_par, run, run_all_par, Feed, ReproReport, RunOptions, StageTimings};
+use st_bench::{
+    build_analyses_par, run, run_all_par, Feed, IngestOptions, ReproReport, RunOptions,
+    StageTimings,
+};
 use st_obs::Registry;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -73,7 +76,7 @@ fn artifact_hash(parallelism: usize) -> (u64, usize) {
 fn observed_artifact_hash(parallelism: usize) -> (u64, usize) {
     let obs = Registry::new();
     let opts = RunOptions::new(0.004, 2024, parallelism);
-    let report = run(&opts, Feed::Batch(None), &obs).expect("batch run").report;
+    let report = run(&opts, Feed::Chunks(IngestOptions::WHOLE), &obs).expect("whole run").report;
     assert!(report.metrics.is_some(), "enabled registry must yield a snapshot");
     report_hash(&report)
 }

@@ -1,19 +1,23 @@
-//! Batch-vs-incremental identity for the ingest front-end.
+//! Chunk-plan identity for the ingest front-end.
 //!
-//! The chunked replay (`Feed::Chunks`) must reproduce the
-//! pinned batch golden artifacts byte for byte — at any chunk size, any
-//! seal threshold, and any parallelism. The expected hash below is the
-//! same value `golden_identity.rs` pins for the batch pipeline; equality
-//! here *is* the tentpole claim: sealed-segment boundaries and the chunk
-//! interleave are pure functions of (seed, chunk plan) and never leak
-//! into the rendered output.
+//! The chunked replay (`Feed::Chunks`) must reproduce the pinned golden
+//! artifacts of `repro`'s whole-campaign plan (`IngestOptions::WHOLE`)
+//! byte for byte — at any chunk size, any seal threshold, and any
+//! parallelism, with clean or dirty records. The expected hash below is
+//! the same value `golden_identity.rs` pins; equality here is the claim
+//! that sealed-segment boundaries and the chunk interleave are pure
+//! functions of (seed, chunk plan) and never leak into the rendered
+//! output.
 
 use st_bench::ledger::{artifact_hash, LedgerRow, LEDGER_SCHEMA};
 use st_bench::output::ChunkPlan;
 use st_bench::{run, Feed, IngestOptions, Run, RunOptions};
+use st_datagen::DirtyScenario;
 use st_obs::Registry;
+use std::collections::BTreeMap;
 
-/// The batch pipeline's pinned golden hash (see `golden_identity.rs`).
+/// The whole-campaign pipeline's pinned golden hash (see
+/// `golden_identity.rs`).
 const GOLDEN_HASH: u64 = 0x0e77_4be6_9287_5897;
 const GOLDEN_FILES: usize = 89;
 
@@ -68,4 +72,41 @@ fn a_different_chunk_plan_and_parallelism_hash_identically() {
         "a 200-row seal threshold must split at least one store ({} segments)",
         stats.segments
     );
+}
+
+#[test]
+fn dirty_records_sanitize_alike_under_every_chunk_plan() {
+    // Cross-chunk duplicates and clock-skew repairs: a 97-row chunk
+    // splits campaigns mid-stream, so a duplicate can arrive chunks after
+    // its original and must still be caught by the store's seen-id set.
+    let dirty_run = |parallelism: usize, plan: IngestOptions| {
+        let opts = RunOptions {
+            dirty: Some(DirtyScenario::with_total_rate(0.02)),
+            ..RunOptions::new(0.004, 2024, parallelism)
+        };
+        let run = run(&opts, Feed::Chunks(plan), &Registry::new()).expect("dirty replay");
+        let counters = &run.report.metrics.as_ref().expect("observed run").deterministic.counters;
+        let sanitize: BTreeMap<String, u64> = counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("sanitize."))
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        (artifact_hash(&run.report.artifacts), run.report.health.sanitize.clone(), sanitize, run)
+    };
+    let (whole_hash, whole_health, whole_counters, whole) = dirty_run(1, IngestOptions::WHOLE);
+    assert_eq!((whole.replay.chunks, whole.replay.segments), (12, 12), "one chunk per campaign");
+    assert!(whole_health.quarantine_reasons.contains_key("duplicate-id"), "{whole_health:?}");
+    assert!(whole_health.repaired > 0, "{whole_health:?}");
+    assert!(!whole_counters.is_empty(), "no sanitize.* counters recorded");
+    let small = IngestOptions { chunk_rows: 97, seal_rows: 300 };
+    for (parallelism, plan) in [(2, IngestOptions::WHOLE), (1, small), (2, small)] {
+        let (hash, health, counters, run) = dirty_run(parallelism, plan);
+        let at = format!("p{parallelism} {plan:?}");
+        assert_eq!(hash, whole_hash, "artifacts diverged at {at}");
+        assert_eq!(health, whole_health, "sanitize report diverged at {at}");
+        assert_eq!(counters, whole_counters, "sanitize.* counters diverged at {at}");
+        if plan.chunk_rows == 97 {
+            assert!(run.replay.chunks > 12 && run.replay.segments > 12, "{:?}", run.replay);
+        }
+    }
 }

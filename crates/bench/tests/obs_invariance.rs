@@ -8,7 +8,7 @@
 //! is explicitly exempt. Observation must also be read-only — enabling
 //! the registry must not change a single artifact byte.
 
-use st_bench::{render_health, render_metrics, run, Feed, ReproReport, RunOptions};
+use st_bench::{render_health, render_metrics, run, Feed, IngestOptions, ReproReport, RunOptions};
 use st_datagen::DirtyScenario;
 use st_obs::{MetricsSnapshot, Registry};
 
@@ -23,9 +23,10 @@ fn observed_run(
     let obs = Registry::new();
     let opts = RunOptions {
         fail_jobs: fail_jobs.iter().map(|s| s.to_string()).collect(),
+        dirty: dirty.copied(),
         ..RunOptions::new(SCALE, SEED, parallelism)
     };
-    let report = run(&opts, Feed::Batch(dirty.copied()), &obs).unwrap().report;
+    let report = run(&opts, Feed::Chunks(IngestOptions::WHOLE), &obs).unwrap().report;
     let snapshot = obs.snapshot();
     (report, snapshot)
 }
@@ -84,7 +85,8 @@ fn deterministic_metrics_survive_dirty_data_and_degraded_jobs() {
 fn observation_is_read_only() {
     let (observed, snapshot) = observed_run(2, None, &[]);
     let opts = RunOptions::new(SCALE, SEED, 2);
-    let plain = run(&opts, Feed::Batch(None), &Registry::disabled()).unwrap().report;
+    let plain =
+        run(&opts, Feed::Chunks(IngestOptions::WHOLE), &Registry::disabled()).unwrap().report;
 
     assert!(snapshot.deterministic.counters.len() > 20);
     assert!(plain.metrics.is_none());

@@ -7,7 +7,7 @@
 use serde_json::Value;
 use st_bench::diff::{diff_metrics, DiffOptions, MetricsDoc};
 use st_bench::ledger::{append_ledger, read_ledger, LedgerRow};
-use st_bench::{run, Feed, Run, RunOptions};
+use st_bench::{run, Feed, IngestOptions, Run, RunOptions};
 use st_obs::Registry;
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,7 +17,7 @@ use std::process::Command;
 /// `MetricsDoc::parse` accepts just like the repro binary's file).
 fn observed_snapshot(parallelism: usize) -> (Run, String) {
     let opts = RunOptions::new(0.004, 2024, parallelism);
-    let run = run(&opts, Feed::Batch(None), &Registry::new()).unwrap();
+    let run = run(&opts, Feed::Chunks(IngestOptions::WHOLE), &Registry::new()).unwrap();
     let json = run.report.metrics.as_ref().expect("observed run carries metrics").to_json();
     (run, json)
 }

@@ -5,14 +5,14 @@
 //! only `ts` and `dur` may move.
 
 use serde_json::Value;
-use st_bench::{run, Feed, RunOptions};
+use st_bench::{run, Feed, IngestOptions, RunOptions};
 use st_obs::Registry;
 
 /// Run the full observed pipeline and return its trace.
 fn observed_trace(parallelism: usize, fail_jobs: Vec<String>) -> st_obs::Trace {
     let obs = Registry::new();
     let opts = RunOptions { fail_jobs, ..RunOptions::new(0.004, 2024, parallelism) };
-    let report = run(&opts, Feed::Batch(None), &obs).unwrap().report;
+    let report = run(&opts, Feed::Chunks(IngestOptions::WHOLE), &obs).unwrap().report;
     assert!(report.metrics.is_some());
     obs.trace()
 }

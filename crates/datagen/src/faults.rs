@@ -178,15 +178,6 @@ impl DirtyScenario {
         }
     }
 
-    /// The summed corruption rate.
-    pub fn total_rate(&self) -> f64 {
-        self.truncated_rate
-            + self.zero_rate
-            + self.nan_rate
-            + self.duplicate_rate
-            + self.clock_skew_rate
-    }
-
     /// Cumulative (kind, threshold) table for a single uniform draw.
     fn thresholds(&self) -> [(DirtyKind, f64); 5] {
         let mut acc = 0.0;

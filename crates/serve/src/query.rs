@@ -23,7 +23,8 @@
 //! Malformed or unknown requests get a uniform structured error row:
 //! `{"ok": false, "kind": "error", "detail": "..."}` — still one JSON
 //! object per line, so clients never need a second parser for the
-//! failure path.
+//! failure path. A request line longer than 64 KiB gets the same row,
+//! and then the server closes the connection.
 //!
 //! `watch` is the one departure from request/response: the connection
 //! switches to a push feed (the console's live feed). The server
@@ -41,7 +42,7 @@ use serde::Serialize;
 use st_obs::MetricsSnapshot;
 use st_speedtest::SanitizeReport;
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
@@ -438,20 +439,37 @@ fn stream_watch(
     }
 }
 
+/// Longest request line the server reads, in bytes, newline excluded. A
+/// longer line gets one error row and then the connection closes, so a
+/// client that never sends a newline cannot grow the server's memory.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
     // Answers are small and latency-bound: send each as soon as it is written.
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let cap = MAX_REQUEST_BYTES as u64 + 1;
+        if !matches!(reader.by_ref().take(cap).read_until(b'\n', &mut buf), Ok(1..)) {
+            break;
+        }
+        if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            let detail = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+            let _ = write_line(&mut writer, err(detail));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
+        let line = line.trim_end();
+        if line.is_empty() {
             continue;
         }
         // `watch` flips the connection into push mode until the feed
         // ends; everything else stays strict request/response.
-        if let Ok(v) = serde_json::from_str(&line) {
+        if let Ok(v) = serde_json::from_str(line) {
             if v.get("cmd").and_then(|c| c.as_str()) == Some("watch") {
                 service.registry().observe_wall(
                     "serve.query_seconds",
@@ -466,7 +484,7 @@ fn handle_conn(stream: TcpStream, service: &ContextService, signal: &Signal) {
                 continue;
             }
         }
-        let (resp, shutdown) = dispatch(service, &line);
+        let (resp, shutdown) = dispatch(service, line);
         if write_line(&mut writer, resp).is_err() {
             break;
         }
@@ -650,10 +668,34 @@ mod tests {
         let s = service();
         let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
         let t = Duration::from_secs(5);
-        let resp = query_once(server.addr(), &"[".repeat(200_000), t).expect("error row");
+        // The longest line the server reads, all of it nesting.
+        let resp = query_once(server.addr(), &"[".repeat(MAX_REQUEST_BYTES), t).expect("error row");
         let v: serde_json::Value = serde_json::from_str(&resp).unwrap();
         assert_eq!(get(&v, "ok").as_bool(), Some(false), "{resp}");
         assert!(get(&v, "detail").as_str().unwrap().contains("nesting deeper than"), "{resp}");
+        let resp = query_once(server.addr(), "{\"cmd\":\"status\"}", t).expect("status after");
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        server.stop();
+    }
+
+    #[test]
+    fn an_oversized_line_gets_an_error_row_then_the_connection_closes() {
+        let s = service();
+        let server = QueryServer::start(Arc::clone(&s), "127.0.0.1:0").expect("bind");
+        let t = Duration::from_secs(5);
+        let mut stream = TcpStream::connect_timeout(&server.addr(), t).expect("connect");
+        stream.set_read_timeout(Some(t)).unwrap();
+        // One byte past the cap, and no newline: the server must not wait
+        // for the rest of the line.
+        stream.write_all(&vec![b'a'; MAX_REQUEST_BYTES + 1]).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("error row");
+        let v: serde_json::Value = serde_json::from_str(&resp).unwrap();
+        assert_eq!(get(&v, "ok").as_bool(), Some(false), "{resp}");
+        assert!(get(&v, "detail").as_str().unwrap().contains("65536 bytes"), "{resp}");
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).expect("clean close"), 0, "then EOF: {rest}");
         let resp = query_once(server.addr(), "{\"cmd\":\"status\"}", t).expect("status after");
         assert!(resp.contains("\"ok\":true"), "{resp}");
         server.stop();

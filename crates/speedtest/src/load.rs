@@ -373,11 +373,12 @@ fn try_attempt(
     opts: &LoadOptions,
     wire: &WireOptions,
 ) -> std::io::Result<(LatencyResult, WireResult, Option<WireResult>)> {
-    let latency = measure_latency_with(addr, opts.n_pings, wire)?;
+    let off = &Registry::disabled();
+    let latency = measure_latency_with(addr, opts.n_pings, wire, off)?;
     let download =
-        measure_download_with(addr, opts.n_conns, opts.duration, opts.ramp_discard, wire)?;
+        measure_download_with(addr, opts.n_conns, opts.duration, opts.ramp_discard, wire, off)?;
     let upload = if opts.with_upload {
-        Some(measure_upload_with(addr, opts.n_conns, opts.duration, opts.ramp_discard, wire)?)
+        Some(measure_upload_with(addr, opts.n_conns, opts.duration, opts.ramp_discard, wire, off)?)
     } else {
         None
     };

@@ -232,39 +232,38 @@ pub fn sanitize(records: Vec<Measurement>) -> (Vec<Measurement>, SanitizeReport)
 /// pass over the concatenated records would. Only *accepted* ids enter
 /// `seen`; quarantined records never shadow a later valid submission.
 pub fn sanitize_with_seen(
-    records: Vec<Measurement>,
+    mut records: Vec<Measurement>,
     seen: &mut HashSet<u64>,
 ) -> (Vec<Measurement>, SanitizeReport) {
     let mut report = SanitizeReport::default();
-    let mut kept = Vec::with_capacity(records.len());
-    for mut m in records {
-        match classify(&m, seen.contains(&m.id)) {
-            Classification::Clean => {
-                report.clean += 1;
-                seen.insert(m.id);
-                kept.push(m);
-            }
-            Classification::Repaired(reasons) => {
-                for r in &reasons {
-                    if matches!(r, RepairReason::DayOutOfRange) {
-                        m.day %= 365;
-                    }
-                    if matches!(r, RepairReason::HourOutOfRange) {
-                        m.hour %= 24;
-                    }
-                    *report.repair_reasons.entry(r.label().into()).or_insert(0) += 1;
-                }
-                report.repaired += 1;
-                seen.insert(m.id);
-                kept.push(m);
-            }
-            Classification::Quarantined(reason) => {
-                report.quarantined += 1;
-                *report.quarantine_reasons.entry(reason.label().into()).or_insert(0) += 1;
-            }
+    // In place and in order: the kept rows reuse the input's buffer.
+    records.retain_mut(|m| match classify(m, seen.contains(&m.id)) {
+        Classification::Clean => {
+            report.clean += 1;
+            seen.insert(m.id);
+            true
         }
-    }
-    (kept, report)
+        Classification::Repaired(reasons) => {
+            for r in &reasons {
+                if matches!(r, RepairReason::DayOutOfRange) {
+                    m.day %= 365;
+                }
+                if matches!(r, RepairReason::HourOutOfRange) {
+                    m.hour %= 24;
+                }
+                *report.repair_reasons.entry(r.label().into()).or_insert(0) += 1;
+            }
+            report.repaired += 1;
+            seen.insert(m.id);
+            true
+        }
+        Classification::Quarantined(reason) => {
+            report.quarantined += 1;
+            *report.quarantine_reasons.entry(reason.label().into()).or_insert(0) += 1;
+            false
+        }
+    });
+    (records, report)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Segmented campaign store: sealed immutable segments + a mutable tail.
 //!
-//! A [`SegmentedStore`] is the one store behind the batch repro, chunked
-//! ingest and the live service. Each sealed segment is a write-once
+//! A [`SegmentedStore`] is the one store behind repro, chunked ingest and
+//! the live service. Each sealed segment is a write-once
 //! columnar block with its own memoized derived columns and write-once
 //! assigned columns (the crate-private `CampaignStore`), while the
 //! **mutable tail** buffers appended measurement chunks, sanitizes them
@@ -25,8 +25,9 @@
 //!
 //! Column getters return [`FragCol`]s chaining the per-segment slices;
 //! selections return [`FragSelection`]s composing the per-segment
-//! memoized [`st_dataframe::Selection`]s. A batch-built store
-//! ([`SegmentedStore::from_measurements`]) has exactly one segment, so
+//! memoized [`st_dataframe::Selection`]s. A store whose seal threshold
+//! covers its whole campaign (the `repro` plan) or one wrapped by
+//! [`SegmentedStore::from_measurements`] has exactly one segment, so
 //! every view is a single borrowed fragment and an identity
 //! `gather_view` borrows the column without copying.
 
@@ -60,8 +61,8 @@ pub struct ChunkStats {
 }
 
 /// A measurement campaign as sealed immutable segments plus a mutable
-/// tail; the one storage engine behind both the batch repro and the
-/// incremental ingest front-end.
+/// tail; the one storage engine behind repro, chunked ingest and the
+/// live service.
 pub struct SegmentedStore {
     segments: Vec<CampaignStore>,
     tail: Vec<Measurement>,
@@ -89,10 +90,10 @@ impl SegmentedStore {
         }
     }
 
-    /// Wrap one already-sanitized campaign as a single sealed segment —
-    /// the batch path. No sanitize runs here (the batch pipeline
-    /// sanitizes upstream), and with exactly one segment every column
-    /// view borrows one contiguous slice.
+    /// Wrap one already-sanitized campaign as a single sealed segment,
+    /// for callers that hold clean rows outside the pipeline's feeds
+    /// (warm fits, test oracles). No sanitize runs here, and with exactly
+    /// one segment every column view borrows one contiguous slice.
     pub fn from_measurements(ms: &[Measurement]) -> Self {
         SegmentedStore {
             segments: vec![CampaignStore::from_measurements(ms)],
@@ -126,7 +127,11 @@ impl SegmentedStore {
             segments_sealed: 0,
         };
         self.report.merge(&report);
-        self.tail.extend(kept);
+        if self.tail.is_empty() {
+            self.tail = kept;
+        } else {
+            self.tail.extend(kept);
+        }
         let mut sealed = 0;
         while self.tail.len() >= self.seal_rows {
             let rest = self.tail.split_off(self.seal_rows);
@@ -154,6 +159,8 @@ impl SegmentedStore {
             let tail = std::mem::take(&mut self.tail);
             self.segments.push(CampaignStore::from_measurements(&tail));
         }
+        // Duplicate detection ends with the last append.
+        self.seen = HashSet::new();
         self.frozen = true;
         Ok(())
     }
@@ -197,7 +204,7 @@ impl SegmentedStore {
     }
 
     /// Cumulative sanitize report over every appended chunk (empty for
-    /// batch-wrapped stores, which sanitize upstream).
+    /// stores wrapped by [`SegmentedStore::from_measurements`]).
     pub fn report(&self) -> &SanitizeReport {
         &self.report
     }

@@ -528,38 +528,22 @@ fn handshake(stream: &mut TcpStream, cmd: u8, session: Option<SessionTag>) -> st
 /// Opens `n_conns` connections, reads for `duration`, and reports both the
 /// whole-duration average and the average excluding `ramp_discard`.
 /// Robustness knobs come from [`WireOptions::for_duration`]; use
-/// [`measure_download_with`] to override them.
+/// [`measure_download_with`] to override them or record metrics.
 pub fn measure_download(
     addr: SocketAddr,
     n_conns: usize,
     duration: Duration,
     ramp_discard: Duration,
 ) -> std::io::Result<WireResult> {
-    measure_download_with(
-        addr,
-        n_conns,
-        duration,
-        ramp_discard,
-        &WireOptions::for_duration(duration),
-    )
+    let opts = WireOptions::for_duration(duration);
+    measure_download_with(addr, n_conns, duration, ramp_discard, &opts, &Registry::disabled())
 }
 
-/// [`measure_download`] with explicit [`WireOptions`].
+/// [`measure_download`] with explicit [`WireOptions`], recording wire
+/// metrics into `reg` (DESIGN.md §13): per-connection bytes, connect
+/// retries, backoff sleeps, zero-data detections, and connection
+/// outcomes, all under a `dir=down` label.
 pub fn measure_download_with(
-    addr: SocketAddr,
-    n_conns: usize,
-    duration: Duration,
-    ramp_discard: Duration,
-    opts: &WireOptions,
-) -> std::io::Result<WireResult> {
-    run_wire_test(addr, n_conns, duration, ramp_discard, CMD_DOWNLOAD, opts, &Registry::disabled())
-}
-
-/// [`measure_download_with`] recording wire metrics into `reg`
-/// (DESIGN.md §13): per-connection bytes, connect retries, backoff
-/// sleeps, zero-data detections, and connection outcomes, all under a
-/// `dir=down` label.
-pub fn measure_download_observed(
     addr: SocketAddr,
     n_conns: usize,
     duration: Duration,
@@ -577,23 +561,13 @@ pub fn measure_upload(
     duration: Duration,
     ramp_discard: Duration,
 ) -> std::io::Result<WireResult> {
-    measure_upload_with(addr, n_conns, duration, ramp_discard, &WireOptions::for_duration(duration))
+    let opts = WireOptions::for_duration(duration);
+    measure_upload_with(addr, n_conns, duration, ramp_discard, &opts, &Registry::disabled())
 }
 
-/// [`measure_upload`] with explicit [`WireOptions`].
+/// [`measure_upload`] with explicit [`WireOptions`], recording wire
+/// metrics into `reg` under a `dir=up` label.
 pub fn measure_upload_with(
-    addr: SocketAddr,
-    n_conns: usize,
-    duration: Duration,
-    ramp_discard: Duration,
-    opts: &WireOptions,
-) -> std::io::Result<WireResult> {
-    run_wire_test(addr, n_conns, duration, ramp_discard, CMD_UPLOAD, opts, &Registry::disabled())
-}
-
-/// [`measure_upload_with`] recording wire metrics into `reg` under a
-/// `dir=up` label.
-pub fn measure_upload_observed(
     addr: SocketAddr,
     n_conns: usize,
     duration: Duration,
@@ -619,30 +593,36 @@ pub struct LatencyResult {
     pub count: usize,
 }
 
+impl LatencyResult {
+    /// Summarize a non-empty series of round-trip times, in seconds.
+    fn from_rtts(rtts: &[f64]) -> Self {
+        let min_s = rtts.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max_s = rtts.iter().cloned().fold(0.0f64, f64::max);
+        let mean_s = rtts.iter().sum::<f64>() / rtts.len() as f64;
+        let jitter_s = if rtts.len() < 2 {
+            0.0
+        } else {
+            rtts.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (rtts.len() - 1) as f64
+        };
+        LatencyResult { min_s, mean_s, max_s, jitter_s, count: rtts.len() }
+    }
+}
+
 /// Measure round-trip latency with `n_pings` echo exchanges.
 ///
 /// Hardened like the transfer paths: the connect goes through the same
 /// bounded retry/backoff machinery, the socket carries read *and* write
 /// timeouts, and the whole exchange runs under [`WireOptions::deadline`]
 /// — a server that accepts and then goes silent costs one timeout, not a
-/// hung caller. Use [`measure_latency_with`] /
-/// [`measure_latency_observed`] for explicit options or metrics.
+/// hung caller. Use [`measure_latency_with`] for explicit options or
+/// metrics.
 pub fn measure_latency(addr: SocketAddr, n_pings: usize) -> std::io::Result<LatencyResult> {
-    measure_latency_with(addr, n_pings, &WireOptions::default())
+    measure_latency_with(addr, n_pings, &WireOptions::default(), &Registry::disabled())
 }
 
-/// [`measure_latency`] with explicit [`WireOptions`].
+/// [`measure_latency`] with explicit [`WireOptions`], recording connect
+/// retries and backoff sleeps into `reg` under a `dir=ping` label.
 pub fn measure_latency_with(
-    addr: SocketAddr,
-    n_pings: usize,
-    opts: &WireOptions,
-) -> std::io::Result<LatencyResult> {
-    measure_latency_observed(addr, n_pings, opts, &Registry::disabled())
-}
-
-/// [`measure_latency_with`] recording connect retries and backoff sleeps
-/// into `reg` under a `dir=ping` label.
-pub fn measure_latency_observed(
     addr: SocketAddr,
     n_pings: usize,
     opts: &WireOptions,
@@ -677,16 +657,7 @@ pub fn measure_latency_observed(
         }
         rtts.push(t0.elapsed().as_secs_f64());
     }
-
-    let min_s = rtts.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max_s = rtts.iter().cloned().fold(0.0f64, f64::max);
-    let mean_s = rtts.iter().sum::<f64>() / rtts.len() as f64;
-    let jitter_s = if rtts.len() < 2 {
-        0.0
-    } else {
-        rtts.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (rtts.len() - 1) as f64
-    };
-    Ok(LatencyResult { min_s, mean_s, max_s, jitter_s, count: rtts.len() })
+    Ok(LatencyResult::from_rtts(&rtts))
 }
 
 /// One measurement connection: connect (with retry), run the transfer
@@ -922,15 +893,7 @@ pub fn run_session(
                 stream.read_exact(&mut buf)?;
                 rtts.push(t0.elapsed().as_secs_f64());
             }
-            let min_s = rtts.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max_s = rtts.iter().cloned().fold(0.0f64, f64::max);
-            let mean_s = rtts.iter().sum::<f64>() / rtts.len() as f64;
-            let jitter_s = if rtts.len() < 2 {
-                0.0
-            } else {
-                rtts.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (rtts.len() - 1) as f64
-            };
-            Ok(LatencyResult { min_s, mean_s, max_s, jitter_s, count: rtts.len() })
+            Ok(LatencyResult::from_rtts(&rtts))
         })
     };
     let download = measure_download(addr, n_conns, duration, ramp_discard)?;
@@ -1117,6 +1080,7 @@ mod tests {
             Duration::from_millis(400),
             Duration::from_millis(100),
             &opts,
+            &Registry::disabled(),
         );
         assert!(res.is_err(), "refused port produced {res:?}");
         assert!(
@@ -1152,6 +1116,7 @@ mod tests {
             Duration::from_millis(500),
             Duration::from_millis(100),
             &opts,
+            &Registry::disabled(),
         );
         assert!(res.is_err(), "a silent server produced data: {res:?}");
         assert!(
@@ -1229,11 +1194,12 @@ mod tests {
             Duration::from_millis(600),
             Duration::from_millis(150),
             &opts,
+            &Registry::disabled(),
         )
         .unwrap();
         assert_eq!(res.connections_failed, 0, "{res:?}");
         assert!(res.mean_all_mbps > 0.0, "{res:?}");
-        let lat = measure_latency_with(server.addr(), 5, &opts).unwrap();
+        let lat = measure_latency_with(server.addr(), 5, &opts, &Registry::disabled()).unwrap();
         assert_eq!(lat.count, 5);
     }
 
@@ -1248,7 +1214,8 @@ mod tests {
             session: Some(SessionTag { id: sid, attempt: 0 }),
             ..WireOptions::default()
         };
-        let err = measure_latency_with(server.addr(), 3, &faulted).unwrap_err();
+        let err =
+            measure_latency_with(server.addr(), 3, &faulted, &Registry::disabled()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         // An attempt past the fault window is served clean — this is what
         // makes retried sessions recover deterministically.
@@ -1259,7 +1226,12 @@ mod tests {
             }),
             ..WireOptions::default()
         };
-        assert_eq!(measure_latency_with(server.addr(), 3, &recovered).unwrap().count, 3);
+        assert_eq!(
+            measure_latency_with(server.addr(), 3, &recovered, &Registry::disabled())
+                .unwrap()
+                .count,
+            3
+        );
     }
 
     #[test]
@@ -1279,6 +1251,7 @@ mod tests {
             Duration::from_millis(400),
             Duration::from_millis(100),
             &opts,
+            &Registry::disabled(),
         );
         assert!(res.is_err(), "refused session produced {res:?}");
     }
@@ -1299,6 +1272,7 @@ mod tests {
             Duration::from_millis(500),
             Duration::from_millis(100),
             &opts,
+            &Registry::disabled(),
         )
         .unwrap();
         // The planned chunks moved, then a clean close: partial data, no

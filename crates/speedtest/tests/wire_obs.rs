@@ -4,8 +4,7 @@
 
 use st_obs::Registry;
 use st_speedtest::wire::{
-    measure_download_observed, measure_download_with, measure_upload_observed, ShapedServer,
-    WireOptions,
+    measure_download, measure_download_with, measure_upload_with, ShapedServer, WireOptions,
 };
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -34,7 +33,7 @@ fn byte_counters_match_a_fixed_size_serve_exactly() {
     });
 
     let reg = Registry::new();
-    let res = measure_download_observed(
+    let res = measure_download_with(
         addr,
         1,
         Duration::from_millis(2000),
@@ -88,7 +87,7 @@ fn injected_partial_failures_are_counted_per_connection() {
     });
 
     let reg = Registry::new();
-    let res = measure_download_observed(
+    let res = measure_download_with(
         addr,
         3,
         Duration::from_millis(600),
@@ -127,7 +126,7 @@ fn retry_counters_match_the_configured_attempts() {
         ..WireOptions::default()
     };
     let reg = Registry::new();
-    let res = measure_download_observed(
+    let res = measure_download_with(
         addr,
         2,
         Duration::from_millis(300),
@@ -153,7 +152,7 @@ fn shaped_server_counters_agree_with_the_reported_result() {
     let server = ShapedServer::start(60.0, 10.0).unwrap();
     let reg = Registry::new();
     let duration = Duration::from_millis(800);
-    let down = measure_download_observed(
+    let down = measure_download_with(
         server.addr(),
         2,
         duration,
@@ -162,7 +161,7 @@ fn shaped_server_counters_agree_with_the_reported_result() {
         &reg,
     )
     .unwrap();
-    let up = measure_upload_observed(
+    let up = measure_upload_with(
         server.addr(),
         2,
         duration,
@@ -190,13 +189,8 @@ fn plain_entry_points_record_nothing() {
     // The un-observed API must stay metric-free (disabled registry all
     // the way down) and keep working.
     let server = ShapedServer::start(40.0, 10.0).unwrap();
-    let res = measure_download_with(
-        server.addr(),
-        1,
-        Duration::from_millis(400),
-        Duration::from_millis(100),
-        &WireOptions::default(),
-    )
-    .unwrap();
+    let res =
+        measure_download(server.addr(), 1, Duration::from_millis(400), Duration::from_millis(100))
+            .unwrap();
     assert!(res.mean_all_mbps > 0.0);
 }

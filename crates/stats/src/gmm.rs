@@ -12,7 +12,7 @@
 //! * per-component mean, variance, and weight (the "parameters associated
 //!   with a GMM cluster/component" of §4.2),
 //! * soft responsibilities and hard assignment,
-//! * BIC/AIC for the component-count ablation.
+//! * BIC for the component-count ablation.
 
 use crate::error::{validate_sample, StatsError};
 use crate::kmeans::kmeans_1d;
@@ -474,13 +474,6 @@ impl GaussianMixture {
         let p = (3 * self.k() - 1 + usize::from(self.background.is_some())) as f64;
         let n = self.n_samples as f64;
         p * n.ln() - 2.0 * self.fit.log_likelihood * n
-    }
-
-    /// Akaike information criterion (lower is better).
-    pub fn aic(&self) -> f64 {
-        let p = (3 * self.k() - 1) as f64;
-        let n = self.n_samples as f64;
-        2.0 * p - 2.0 * self.fit.log_likelihood * n
     }
 }
 
